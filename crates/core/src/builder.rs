@@ -15,10 +15,11 @@
 
 use crate::report::RunReport;
 use domino_faults::FaultConfig;
-use domino_mac::centaur::{CentaurConfig, CentaurSim};
-use domino_mac::domino::{DominoConfig, DominoSim};
-use domino_mac::omniscient::OmniscientSim;
-use domino_mac::{DcfSim, Workload};
+use domino_mac::centaur::CentaurConfig;
+use domino_mac::domino::DominoConfig;
+use domino_mac::{
+    run, Checkpoints, CentaurWorld, DcfWorld, DominoWorld, OmniWorld, RunOptions, Setup, Workload,
+};
 use domino_obs::{ProfHandle, TraceHandle};
 use domino_sim::snapshot::{self, SnapError};
 use domino_sim::SimTime;
@@ -151,118 +152,15 @@ impl SimulationBuilder {
 
     /// Run under the given scheme.
     pub fn run(&self, scheme: Scheme) -> RunReport {
-        self.run_traced(scheme, TraceHandle::off())
+        self.run_profiled(scheme, TraceHandle::off(), ProfHandle::off())
     }
 
-    /// [`SimulationBuilder::run`] with a trace sink attached. Tracing is
-    /// observation only — it draws no randomness and schedules no events,
-    /// so a run with the handle off is byte-identical to [`run`].
-    ///
-    /// The handle is passed per call (rather than stored on the builder)
-    /// so the builder itself stays `Send`: trace sinks are `Rc`-based and
-    /// must be created inside the thread that runs the simulation.
-    ///
-    /// [`run`]: SimulationBuilder::run
-    pub fn run_traced(&self, scheme: Scheme, tracer: TraceHandle) -> RunReport {
-        let workload = self
-            .workload
-            .clone()
-            // lint: allow(D005) builder misuse: no run exists to return an Err through
-            .expect("no workload configured: call udp()/tcp()/workload() first");
-        let stats = match scheme {
-            Scheme::Dcf => DcfSim::run_traced(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-            ),
-            Scheme::Centaur => CentaurSim::run_traced(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.centaur.clone(),
-                &self.faults,
-                tracer,
-            ),
-            Scheme::Domino => DominoSim::run_traced(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.domino.clone(),
-                &self.faults,
-                tracer,
-            ),
-            Scheme::Omniscient => OmniscientSim::run_traced(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-            ),
-        };
-        RunReport::new(scheme, workload.flow_links(), stats)
-    }
-
-    /// [`SimulationBuilder::run_traced`] with a cost profiler attached.
-    /// Profiling is observation only, exactly like tracing: it draws no
-    /// randomness, schedules no events, and allocates nothing on the hot
-    /// path, so a run with the handle off is byte-identical to [`run`].
-    /// Like the trace handle, the profiler handle is `Rc`-based and passed
-    /// per call so the builder stays `Send`.
-    ///
-    /// [`run`]: SimulationBuilder::run
+    /// [`SimulationBuilder::run`] with a trace sink and a cost profiler
+    /// attached (either may be off).
     pub fn run_profiled(&self, scheme: Scheme, tracer: TraceHandle, prof: ProfHandle) -> RunReport {
-        let workload = self
-            .workload
-            .clone()
-            // lint: allow(D005) builder misuse: no run exists to return an Err through
-            .expect("no workload configured: call udp()/tcp()/workload() first");
-        let stats = match scheme {
-            Scheme::Dcf => DcfSim::run_profiled(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-                prof,
-            ),
-            Scheme::Centaur => CentaurSim::run_profiled(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.centaur.clone(),
-                &self.faults,
-                tracer,
-                prof,
-            ),
-            Scheme::Domino => DominoSim::run_profiled(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.domino.clone(),
-                &self.faults,
-                tracer,
-                prof,
-            ),
-            Scheme::Omniscient => OmniscientSim::run_profiled(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-                prof,
-            ),
-        };
-        RunReport::new(scheme, workload.flow_links(), stats)
+        let mut opts = RunOptions { tracer, profiler: prof, ..RunOptions::default() };
+        // lint: allow(D005) without a restore payload a run cannot fail
+        self.run_with(scheme, &mut opts).expect("a run without restore cannot fail")
     }
 
     /// Run all four schemes with the same configuration.
@@ -270,12 +168,72 @@ impl SimulationBuilder {
         Scheme::ALL.iter().map(|&s| self.run(s)).collect()
     }
 
+    /// The one run entry point: run under `scheme` with any combination
+    /// of options. Tracing, profiling and checkpointing are observation
+    /// only — they draw no randomness and schedule no events — so the
+    /// report is byte-identical to [`SimulationBuilder::run`]'s.
+    ///
+    /// At this level snapshots are sealed: each checkpoint payload handed
+    /// to `opts.checkpoints` is wrapped in the versioned, digest-verified
+    /// container bound to [`SimulationBuilder::binding`], and
+    /// `opts.restore` must be such a container from a run of the *same*
+    /// configuration; any other is rejected with an error, never run.
+    ///
+    /// The trace and profile handles are `Rc`-based and passed per call
+    /// (rather than stored on the builder) so the builder stays `Send`.
+    pub fn run_with(&self, scheme: Scheme, opts: &mut RunOptions<'_>) -> Result<RunReport, SnapError> {
+        let workload = self
+            .workload
+            .as_ref()
+            // lint: allow(D005) builder misuse: no run exists to return an Err through
+            .expect("no workload configured: call udp()/tcp()/workload() first");
+        let setup = Setup {
+            net: &self.network,
+            workload,
+            duration_s: self.duration_s,
+            seed: self.seed,
+            faults: &self.faults,
+        };
+        // The binding formats the whole configuration: compute it only for
+        // runs that seal or open a snapshot.
+        let binding = if opts.restore.is_some() || opts.checkpoints.is_some() {
+            self.binding(scheme)
+        } else {
+            [0; 32]
+        };
+        let restore = match opts.restore {
+            Some(sealed) => Some(snapshot::open(sealed, &binding)?.1),
+            None => None,
+        };
+        let (tracer, profiler) = (opts.tracer.clone(), opts.profiler.clone());
+        let at = opts.checkpoints.as_ref().map(|c| c.at);
+        let outer = &mut opts.checkpoints;
+        let mut seal = |t: SimTime, payload: Vec<u8>| {
+            if let Some(c) = outer.as_mut() {
+                (c.sink)(t, snapshot::seal(&binding, t.as_nanos(), &payload));
+            }
+        };
+        let mut opts = RunOptions {
+            tracer,
+            profiler,
+            checkpoints: at.map(|at| Checkpoints { at, sink: &mut seal }),
+            restore,
+        };
+        let stats = match scheme {
+            Scheme::Dcf => run::<DcfWorld>(&setup, (), &mut opts),
+            Scheme::Centaur => run::<CentaurWorld>(&setup, self.centaur.clone(), &mut opts),
+            Scheme::Domino => run::<DominoWorld>(&setup, self.domino.clone(), &mut opts),
+            Scheme::Omniscient => run::<OmniWorld>(&setup, (), &mut opts),
+        }?;
+        Ok(RunReport::new(scheme, workload.flow_links(), stats))
+    }
+
     /// SHA-256 binding of the complete run configuration under `scheme`.
     ///
-    /// Snapshots sealed by [`SimulationBuilder::run_checkpointed`] carry
-    /// this digest, and [`SimulationBuilder::resume`] rejects any payload
-    /// whose binding differs — a world rebuilt from different static
-    /// state would silently diverge instead of failing loudly.
+    /// Snapshots sealed by [`SimulationBuilder::run_with`] carry this
+    /// digest, and a restore rejects any payload whose binding differs —
+    /// a world rebuilt from different static state would silently
+    /// diverge instead of failing loudly.
     pub fn binding(&self, scheme: Scheme) -> [u8; 32] {
         let workload = format!("{:?}", self.workload);
         let network = format!("{:?}", self.network);
@@ -292,142 +250,6 @@ impl SimulationBuilder {
             centaur.as_bytes(),
             faults.as_bytes(),
         ])
-    }
-
-    /// [`SimulationBuilder::run`] with crash-resumable checkpoints: at
-    /// each boundary in `boundaries` (sim time, ascending), the complete
-    /// dynamic state is serialized, sealed into the versioned
-    /// digest-verified container, and handed to `sink`. The run itself is
-    /// byte-identical to [`SimulationBuilder::run`] — snapshotting reads
-    /// state but never draws randomness or schedules events.
-    pub fn run_checkpointed(
-        &self,
-        scheme: Scheme,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunReport {
-        self.run_checkpointed_traced(scheme, TraceHandle::off(), boundaries, sink)
-    }
-
-    /// [`SimulationBuilder::run_checkpointed`] with a trace sink attached.
-    /// Snapshotting is observation-only, so the captured trace is
-    /// byte-identical to [`SimulationBuilder::run_traced`]'s.
-    pub fn run_checkpointed_traced(
-        &self,
-        scheme: Scheme,
-        tracer: TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunReport {
-        let workload = self
-            .workload
-            .clone()
-            // lint: allow(D005) builder misuse: no run exists to return an Err through
-            .expect("no workload configured: call udp()/tcp()/workload() first");
-        let binding = self.binding(scheme);
-        let mut seal = |t: SimTime, payload: Vec<u8>| {
-            sink(t, snapshot::seal(&binding, t.as_nanos(), &payload));
-        };
-        let stats = match scheme {
-            Scheme::Dcf => DcfSim::run_ckpt(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-                boundaries,
-                &mut seal,
-            ),
-            Scheme::Centaur => CentaurSim::run_ckpt(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.centaur.clone(),
-                &self.faults,
-                tracer,
-                boundaries,
-                &mut seal,
-            ),
-            Scheme::Domino => DominoSim::run_ckpt(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.domino.clone(),
-                &self.faults,
-                tracer,
-                boundaries,
-                &mut seal,
-            ),
-            Scheme::Omniscient => OmniscientSim::run_ckpt(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-                boundaries,
-                &mut seal,
-            ),
-        };
-        RunReport::new(scheme, workload.flow_links(), stats)
-    }
-
-    /// Open a sealed checkpoint produced by
-    /// [`SimulationBuilder::run_checkpointed`] under the *same*
-    /// configuration and run it to completion. The finished report is
-    /// byte-identical to the uninterrupted run's.
-    pub fn resume(&self, scheme: Scheme, sealed: &[u8]) -> Result<RunReport, SnapError> {
-        let workload = self
-            .workload
-            .clone()
-            // lint: allow(D005) builder misuse: no run exists to return an Err through
-            .expect("no workload configured: call udp()/tcp()/workload() first");
-        let binding = self.binding(scheme);
-        let (_t, payload) = snapshot::open(sealed, &binding)?;
-        let stats = match scheme {
-            Scheme::Dcf => DcfSim::resume(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                TraceHandle::off(),
-                payload,
-            )?,
-            Scheme::Centaur => CentaurSim::resume(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.centaur.clone(),
-                &self.faults,
-                TraceHandle::off(),
-                payload,
-            )?,
-            Scheme::Domino => DominoSim::resume(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.domino.clone(),
-                &self.faults,
-                TraceHandle::off(),
-                payload,
-            )?,
-            Scheme::Omniscient => OmniscientSim::resume(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                TraceHandle::off(),
-                payload,
-            )?,
-        };
-        Ok(RunReport::new(scheme, workload.flow_links(), stats))
     }
 }
 
@@ -504,7 +326,7 @@ mod tests {
         for scheme in Scheme::ALL {
             let plain = b.run(scheme);
             let (handle, sink) = domino_obs::TraceHandle::mem();
-            let traced = b.run_traced(scheme, handle);
+            let traced = b.run_profiled(scheme, handle, ProfHandle::off());
             assert_eq!(plain.stats.delivered_bits, traced.stats.delivered_bits, "{scheme:?}");
             assert_eq!(plain.stats.events, traced.stats.events, "{scheme:?}");
             assert_eq!(plain.stats.faults, traced.stats.faults, "{scheme:?}");
@@ -514,129 +336,34 @@ mod tests {
     }
 
     #[test]
-    fn profiling_never_perturbs_a_run() {
-        // The determinism pin for the cost profiler, the profiling twin
-        // of `tracing_is_observation_only`: attaching a collecting
-        // profiler must not perturb event order, timing, RNG state, or
-        // the emitted trace — even under an active fault plane. Seeds and
-        // schemes sweep via the testkit property harness so the pin holds
-        // across schemes × fault schedules, not one lucky configuration.
-        let net = scenarios::fig1();
-        let config = domino_testkit::prop::Config {
-            cases: 24, // two full sims per case: bound the runtime
-            ..Default::default()
-        };
-        domino_testkit::prop::check_with(config, "profiling_never_perturbs_a_run", |g| {
-            let seed = g.u64(1, 1 << 40);
-            let chaos = g.f64(0.0, 1.0);
-            let scheme = *g.pick(&Scheme::ALL);
-            let b = SimulationBuilder::new(net.clone())
-                .udp(3e6, 1e6)
-                .duration_s(0.2)
-                .seed(seed)
-                .faults(FaultConfig::chaos(chaos));
-            let (plain_tr, plain_sink) = domino_obs::TraceHandle::mem();
-            let plain = b.run_profiled(scheme, plain_tr, domino_obs::ProfHandle::off());
-            let (prof_tr, prof_sink) = domino_obs::TraceHandle::mem();
-            let (handle, profiler) = domino_obs::ProfHandle::collecting();
-            let profiled = b.run_profiled(scheme, prof_tr, handle);
-            domino_testkit::prop_assert!(
-                plain.stats.delivered_bits == profiled.stats.delivered_bits,
-                "{scheme:?} seed={seed}: profiling changed throughput"
-            );
-            domino_testkit::prop_assert!(
-                plain.stats.events == profiled.stats.events,
-                "{scheme:?} seed={seed}: profiling changed the event count"
-            );
-            domino_testkit::prop_assert!(
-                plain.stats.faults == profiled.stats.faults,
-                "{scheme:?} seed={seed}: profiling changed fault accounting"
-            );
-            domino_testkit::prop_assert!(
-                plain.stats.domino == profiled.stats.domino,
-                "{scheme:?} seed={seed}: profiling changed trigger diagnostics"
-            );
-            domino_testkit::prop_assert!(
-                plain_sink.take() == prof_sink.take(),
-                "{scheme:?} seed={seed}: profiling changed the trace"
-            );
-            let profile = profiler.snapshot();
-            domino_testkit::prop_assert!(
-                profile.total_events() == plain.stats.events,
-                "{scheme:?} seed={seed}: engine pops ({}) != run events ({})",
-                profile.total_events(),
-                plain.stats.events
-            );
-            domino_testkit::prop_assert!(
-                profile.attributed_percent() == 100,
-                "{scheme:?} seed={seed}: only {}% of events attributed",
-                profile.attributed_percent()
-            );
-        });
-    }
-
-    #[test]
-    fn checkpoint_resume_is_byte_identical_for_every_scheme() {
-        let net = scenarios::fig1();
-        let b = SimulationBuilder::new(net)
-            .udp(3e6, 1e6)
-            .duration_s(0.4)
-            .seed(21)
-            .faults(FaultConfig::chaos(0.5));
-        let boundary = domino_sim::SimTime::from_nanos(200_000_000);
-        for scheme in Scheme::ALL {
-            let baseline = b.run(scheme);
-            let mut sealed = Vec::new();
-            let ckpt_run = b.run_checkpointed(scheme, &[boundary], &mut |_, bytes| {
-                sealed.push(bytes)
-            });
-            assert_eq!(sealed.len(), 1, "{scheme:?}");
-            assert_eq!(
-                baseline.stats.delivered_bits, ckpt_run.stats.delivered_bits,
-                "{scheme:?}: snapshotting perturbed the run"
-            );
-            assert_eq!(baseline.stats.events, ckpt_run.stats.events, "{scheme:?}");
-            let resumed = b.resume(scheme, &sealed[0]).expect("restore");
-            assert_eq!(
-                baseline.stats.delivered_bits, resumed.stats.delivered_bits,
-                "{scheme:?}: restored run diverged"
-            );
-            assert_eq!(baseline.stats.events, resumed.stats.events, "{scheme:?}");
-            assert_eq!(baseline.stats.faults, resumed.stats.faults, "{scheme:?}");
-        }
-    }
-
-    #[test]
     fn resume_rejects_foreign_and_corrupt_snapshots() {
         use domino_sim::snapshot::SnapError;
         let net = scenarios::fig1();
         let b = SimulationBuilder::new(net).udp(3e6, 1e6).duration_s(0.3).seed(5);
-        let boundary = domino_sim::SimTime::from_nanos(100_000_000);
+        let at = [SimTime::from_nanos(100_000_000)];
         let mut sealed = Vec::new();
-        let _ = b.run_checkpointed(Scheme::Domino, &[boundary], &mut |_, bytes| {
-            sealed.push(bytes)
-        });
+        let mut sink = |_: SimTime, bytes: Vec<u8>| sealed.push(bytes);
+        let mut opts = RunOptions {
+            checkpoints: Some(Checkpoints { at: &at, sink: &mut sink }),
+            ..RunOptions::default()
+        };
+        let plain = b.run_with(Scheme::Domino, &mut opts).unwrap();
+        drop(opts);
         let snap = sealed.pop().unwrap();
+        let resume = |b: &SimulationBuilder, scheme: Scheme, bytes: &[u8]| {
+            b.run_with(scheme, &mut RunOptions { restore: Some(bytes), ..RunOptions::default() })
+        };
         // Any configuration difference flips the binding digest.
         let other = b.clone().seed(6);
-        assert_eq!(
-            other.resume(Scheme::Domino, &snap).err(),
-            Some(SnapError::BindingMismatch)
-        );
-        assert_eq!(
-            b.resume(Scheme::Dcf, &snap).err(),
-            Some(SnapError::BindingMismatch)
-        );
+        assert_eq!(resume(&other, Scheme::Domino, &snap).err(), Some(SnapError::BindingMismatch));
+        assert_eq!(resume(&b, Scheme::Dcf, &snap).err(), Some(SnapError::BindingMismatch));
         // A flipped payload byte is a digest error, never a wrong run.
         let mut torn = snap.clone();
         let mid = torn.len() / 2;
         torn[mid] ^= 0x40;
-        assert_eq!(
-            b.resume(Scheme::Domino, &torn).err(),
-            Some(SnapError::DigestMismatch)
-        );
-        let ok = b.resume(Scheme::Domino, &snap).expect("clean restore");
-        assert!(ok.aggregate_mbps() > 0.0);
+        assert_eq!(resume(&b, Scheme::Domino, &torn).err(), Some(SnapError::DigestMismatch));
+        let ok = resume(&b, Scheme::Domino, &snap).expect("clean restore");
+        assert_eq!(ok.stats.events, plain.stats.events);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use report::RunReport;
 pub use domino_faults as faults;
 pub use domino_faults::{FaultConfig, FaultStats};
 pub use domino_mac as mac;
-pub use domino_mac::{RunStats, Workload};
+pub use domino_mac::{Checkpoints, RunOptions, RunStats, Workload};
 pub use domino_medium as medium;
 pub use domino_obs as obs;
 pub use domino_obs::{MemTracer, MetricsRegistry, TraceEvent, TraceHandle};

@@ -24,15 +24,13 @@
 //! that restores the last shipped order. With the standby off, a crash
 //! cold-restarts the controller after its downtime with the order lost.
 
-use crate::dcf::{sync_rto, CsmaCore, Ev};
-use crate::flows::{FlowEngine, TCP_TICK};
+use crate::dcf::{CsmaCore, Ev};
+use crate::flows::FlowEngine;
 use crate::timing::{ack_timeout, data_airtime, DIFS, MAC_OVERHEAD_BYTES, RETRY_LIMIT};
-use crate::workload::{client_indices, RunStats, Workload};
-use domino_faults::{FaultConfig, FaultPlane, NodeFaults};
+use crate::world::{Core, Setup, World};
 use domino_medium::{Frame, FrameBody, Medium, Reception};
-use domino_obs::{FaultKind, TraceEvent, TraceHandle};
+use domino_obs::{CostPath, FaultKind, TraceEvent, TraceHandle};
 use domino_scheduler::RandScheduler;
-use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{Engine, SimDuration, SimTime};
 use domino_topology::{ConflictGraph, Direction, LinkId, Network, NodeId};
@@ -269,147 +267,18 @@ impl SnapValue for ApState {
     }
 }
 
-/// The CENTAUR engine.
+/// The complete state of a CENTAUR run between events. Under a fault
+/// plane: backbone loss/spikes on the epoch wire, AP crashes at epoch
+/// delivery, controller compute stalls, primary-controller crashes (warm
+/// standby or cold restart), and the medium-resident churn class. Lost
+/// epoch or Done messages are recovered by a fallback [`EPOCH_TIMEOUT`]
+/// on the batch barrier (scheduled only when faults are enabled, so
+/// fault-free runs stay byte-identical).
 #[derive(Debug)]
-pub struct CentaurSim;
-
-impl CentaurSim {
-    /// Run `workload` over `net` for `duration_s` seconds.
-    pub fn run(net: &Network, workload: &Workload, duration_s: f64, seed: u64) -> RunStats {
-        Self::run_with(net, workload, duration_s, seed, CentaurConfig::default())
-    }
-
-    /// Run with explicit CENTAUR parameters.
-    pub fn run_with(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-    ) -> RunStats {
-        Self::run_faulted(net, workload, duration_s, seed, cfg, &FaultConfig::off())
-    }
-
-    /// [`CentaurSim::run_with`] under a fault plane: backbone loss/spikes
-    /// on the epoch wire, AP crashes at epoch delivery, controller compute
-    /// stalls, primary-controller crashes (warm standby or cold restart),
-    /// and the medium-resident churn class. Lost epoch or Done messages
-    /// are recovered by a fallback [`EPOCH_TIMEOUT`] on the batch barrier
-    /// (scheduled only when faults are enabled, so fault-free runs stay
-    /// byte-identical).
-    pub fn run_faulted(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-    ) -> RunStats {
-        Self::run_traced(net, workload, duration_s, seed, cfg, faults, TraceHandle::off())
-    }
-
-    /// [`CentaurSim::run_faulted`] with a trace sink attached. Tracing is
-    /// observation only — it draws no randomness and schedules no events,
-    /// so a run with the handle off is byte-identical to one that never
-    /// attached a tracer.
-    pub fn run_traced(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> RunStats {
-        Self::run_ckpt(net, workload, duration_s, seed, cfg, faults, tracer, &[], &mut |_, _| {})
-    }
-
-    /// [`CentaurSim::run_traced`] with a cost profiler attached.
-    /// Profiling is observation only — no draws, no events, no hot-path
-    /// allocation — so a run with the handle off is byte-identical to a
-    /// profiled one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_profiled(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: domino_obs::ProfHandle,
-    ) -> RunStats {
-        let mut world = CentaurWorld::new(net, workload, duration_s, seed, cfg, faults, tracer);
-        world.set_profiler(prof);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// [`CentaurSim::run_traced`] with snapshot boundaries; see
-    /// [`crate::DcfSim::run_ckpt`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_ckpt(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        let mut world = CentaurWorld::new(net, workload, duration_s, seed, cfg, faults, tracer);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        for &b in boundaries.iter().filter(|&&b| b <= horizon) {
-            if b > SimTime::ZERO && !world.drive(b - SimDuration::from_nanos(1)) {
-                return world.finalize();
-            }
-            let mut w = SnapWriter::new();
-            world.snapshot_save(&mut w);
-            sink(b, w.into_bytes());
-        }
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// Rebuild a run from a [`CentaurSim::run_ckpt`] payload and run it to
-    /// completion; see [`crate::DcfSim::resume`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        payload: &[u8],
-    ) -> Result<RunStats, SnapError> {
-        let mut world = CentaurWorld::new(net, workload, duration_s, seed, cfg, faults, tracer);
-        let mut r = SnapReader::new(payload);
-        world.snapshot_restore(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError::Corrupt("trailing snapshot bytes"));
-        }
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        Ok(world.finalize())
-    }
-}
-
-/// The complete state of a CENTAUR run between events.
-#[derive(Debug)]
-struct CentaurWorld {
-    net: Network,
-    engine: Engine<Ev<CentaurEv>>,
-    medium: Medium,
-    node_faults: NodeFaults,
-    fe: FlowEngine,
+pub struct CentaurWorld {
+    core: Core<Ev<CentaurEv>>,
     backbone: Backbone,
     sched: RandScheduler,
-    rto_gen: Vec<u64>,
     csma: CsmaCore,
     ap_states: Vec<Option<ApState>>,
     epoch_counter: u64,
@@ -437,40 +306,19 @@ struct CentaurWorld {
     faults_on: bool,
     rate: domino_phy::error_model::DataRate,
     packets_per_round: usize,
-    tracer: TraceHandle,
-    /// Observation-only cost profiler (off by default).
-    prof: domino_obs::ProfHandle,
 }
 
-impl CentaurWorld {
-    fn new(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> CentaurWorld {
-        let mut engine: Engine<Ev<CentaurEv>> = Engine::new();
-        let mut medium = Medium::new(net.clone(), seed);
-        let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
-        let faults_on = plane.cfg.enabled();
-        let node_faults = plane.node;
-        if faults_on {
-            medium.set_faults(plane.medium);
-        }
-        medium.set_tracer(tracer.clone());
-        engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_tracer(tracer.clone());
-        let fe = FlowEngine::new(net, workload, duration_s);
-        let mut backbone = Backbone::new(cfg.wired.clone(), seed);
+impl World for CentaurWorld {
+    type Ev = Ev<CentaurEv>;
+    type Config = CentaurConfig;
+
+    fn build(setup: &Setup<'_>, cfg: CentaurConfig, tracer: TraceHandle) -> CentaurWorld {
+        let mut core = Core::new(setup, tracer);
+        let (net, faults) = (setup.net, setup.faults);
+        let mut backbone = Backbone::new(cfg.wired.clone(), setup.seed);
         backbone.set_loss(faults.wired_loss);
         backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        backbone.set_tracer(tracer.clone());
-        let graph = ConflictGraph::build_for_scheduling(net);
-        let sched = RandScheduler::new(net.links().len());
-        let rto_gen: Vec<u64> = vec![0; workload.flows.len()];
+        backbone.set_tracer(core.tracer.clone());
         let rate = net.phy().data_rate;
 
         // Clients contend with DCF; APs follow the schedule.
@@ -480,7 +328,7 @@ impl CentaurWorld {
             .filter(|n| !n.is_ap())
             .map(|n| n.id)
             .collect();
-        let csma = CsmaCore::new(net, &clients, seed);
+        let csma = CsmaCore::new(net, &clients, setup.seed);
 
         let aps = net.aps();
         let mut ap_states: Vec<Option<ApState>> = (0..net.num_nodes()).map(|_| None).collect();
@@ -503,15 +351,11 @@ impl CentaurWorld {
         // end must compute the same aligned fire time.
         let nav_window = crate::timing::SIFS + crate::timing::ack_airtime(rate);
 
-        let mut world = CentaurWorld {
-            net: net.clone(),
-            engine,
-            medium,
-            node_faults,
-            fe,
+        core.engine.schedule_at(SimTime::ZERO, Ev::Scheme(CentaurEv::ControllerCheck));
+        CentaurWorld {
+            core,
             backbone,
-            sched,
-            rto_gen,
+            sched: RandScheduler::new(net.links().len()),
             csma,
             ap_states,
             epoch_counter: 0,
@@ -526,99 +370,54 @@ impl CentaurWorld {
             detect_delay: SimDuration::from_secs_f64(
                 faults.standby_heartbeat_us * f64::from(faults.standby_missed_k) * 1e-6,
             ),
-            graph,
+            graph: ConflictGraph::build_for_scheduling(net),
             aps,
             nav_window,
             fixed: cfg.fixed_backoff,
-            faults_on,
+            faults_on: faults.enabled(),
             rate,
             packets_per_round: cfg.packets_per_round,
-            tracer,
-            prof: domino_obs::ProfHandle::off(),
-        };
-
-        for flow in world.fe.udp_flows() {
-            world
-                .engine
-                .schedule_at(world.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
         }
-        for flow in world.fe.tcp_flows() {
-            world.engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
-        }
-        world.engine.schedule_at(SimTime::ZERO, Ev::Scheme(CentaurEv::ControllerCheck));
-        world
     }
 
-    /// Attach a cost profiler to the engine, the medium and the world's
-    /// own event dispatch.
-    fn set_profiler(&mut self, prof: domino_obs::ProfHandle) {
-        self.engine.set_profiler(prof.clone());
-        self.medium.set_profiler(prof.clone());
-        self.prof = prof;
+    fn core(&mut self) -> &mut Core<Ev<CentaurEv>> {
+        &mut self.core
     }
 
-    fn drive(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.engine.pop_until_checked(horizon) {
-                Ok(Some((now, ev))) => self.handle(now, ev),
-                Ok(None) => return true,
-                Err(_livelock) => {
-                    self.fe.stats.faults.livelocks += 1;
-                    return false;
-                }
-            }
-        }
+    fn cost_class(ev: &Ev<CentaurEv>) -> CostPath {
+        ev.cost_class()
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<CentaurEv>) {
-        self.prof.tick(ev.cost_class());
         match ev {
-            Ev::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine.schedule_at(self.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-                let sender = self.net.link(self.fe.flow_link(flow)).sender;
-                self.csma.try_start(sender.index(), now, &mut self.engine, &self.medium, &self.fe);
-            }
-            Ev::TcpTick { flow } => {
-                self.fe.tcp_tick(flow, now);
-                self.engine.schedule_in(TCP_TICK, Ev::TcpTick { flow });
-                sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
-            }
-            Ev::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] == gen {
-                    self.fe.tcp_timer(flow, now);
-                    sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                    self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
-                }
-            }
+            Ev::Traffic(ev) => self.csma.on_traffic(ev, now, &mut self.core),
             Ev::BackoffExpire { node, gen } => {
                 self.csma.on_backoff_expire(
                     node as usize,
                     gen,
                     now,
-                    &mut self.engine,
-                    &mut self.medium,
-                    &mut self.fe,
+                    &mut self.core.engine,
+                    &mut self.core.medium,
+                    &mut self.core.fe,
                 );
                 scan_aps(
                     &mut self.ap_states,
                     &self.aps,
                     now,
-                    &mut self.engine,
-                    &self.medium,
+                    &mut self.core.engine,
+                    &self.core.medium,
                     self.fixed,
                     SimDuration::ZERO,
                 );
             }
             Ev::SendAck { rx, packet } => {
-                self.csma.send_ack(rx as usize, &packet, now, &mut self.engine, &mut self.medium);
+                self.csma.send_ack(rx as usize, &packet, now, &mut self.core.engine, &mut self.core.medium);
                 scan_aps(
                     &mut self.ap_states,
                     &self.aps,
                     now,
-                    &mut self.engine,
-                    &self.medium,
+                    &mut self.core.engine,
+                    &self.core.medium,
                     self.fixed,
                     SimDuration::ZERO,
                 );
@@ -628,9 +427,9 @@ impl CentaurWorld {
                     node as usize,
                     gen,
                     now,
-                    &mut self.engine,
-                    &self.medium,
-                    &mut self.fe,
+                    &mut self.core.engine,
+                    &self.core.medium,
+                    &mut self.core.fe,
                 );
             }
             Ev::TxEnd { tx } => self.on_tx_end(tx, now),
@@ -639,25 +438,25 @@ impl CentaurWorld {
             }
             Ev::Scheme(CentaurEv::ApArm { ap, gen }) => {
                 ap_arm_fired(
-                    &self.net,
+                    &self.core.net,
                     ap as usize,
                     gen,
                     now,
-                    &mut self.engine,
-                    &mut self.medium,
-                    &mut self.fe,
+                    &mut self.core.engine,
+                    &mut self.core.medium,
+                    &mut self.core.fe,
                     &mut self.ap_states,
                     &mut self.backbone,
                     self.rate,
                     self.fixed,
                 );
-                self.csma.scan(now, &mut self.engine, &self.medium);
+                self.csma.scan(now, &mut self.core.engine, &self.core.medium);
                 scan_aps(
                     &mut self.ap_states,
                     &self.aps,
                     now,
-                    &mut self.engine,
-                    &self.medium,
+                    &mut self.core.engine,
+                    &self.core.medium,
                     self.fixed,
                     SimDuration::ZERO,
                 );
@@ -669,15 +468,15 @@ impl CentaurWorld {
                     if st.gen != gen || st.phase != ApPhase::AwaitAck {
                         false
                     } else {
-                        self.fe.stats.ack_timeouts += 1;
+                        self.core.fe.stats.ack_timeouts += 1;
                         st.retries += 1;
                         if st.retries > RETRY_LIMIT {
-                            self.fe.stats.drops += 1;
+                            self.core.fe.stats.drops += 1;
                             st.current = None;
                             st.current_link = None;
                             st.retries = 0;
                         } else {
-                            self.fe.stats.retries += 1;
+                            self.core.fe.stats.retries += 1;
                         }
                         st.phase = ApPhase::WaitIdle;
                         true
@@ -685,11 +484,11 @@ impl CentaurWorld {
                 };
                 if needs {
                     advance_ap(
-                        &self.net,
+                        &self.core.net,
                         ap as usize,
                         now,
-                        &mut self.engine,
-                        &self.medium,
+                        &mut self.core.engine,
+                        &self.core.medium,
                         &mut self.ap_states,
                         &mut self.backbone,
                         self.fixed,
@@ -701,11 +500,11 @@ impl CentaurWorld {
                     self.pending_done -= 1;
                     if self.pending_done == 0 {
                         let epoch = self.epoch_counter;
-                        self.tracer.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
+                        self.core.tracer.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
                             epoch,
                             pending: 0,
                         });
-                        self.engine.schedule_now(Ev::Scheme(CentaurEv::ControllerCheck));
+                        self.core.engine.schedule_now(Ev::Scheme(CentaurEv::ControllerCheck));
                     }
                 }
             }
@@ -715,318 +514,33 @@ impl CentaurWorld {
                     // Barrier released by the timeout, not by Done
                     // reports: `pending` records how many were missing.
                     let pending = self.pending_done as u32;
-                    self.tracer.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
+                    self.core.tracer.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
                         epoch,
                         pending,
                     });
                     self.pending_done = 0;
-                    self.engine.schedule_now(Ev::Scheme(CentaurEv::ControllerCheck));
+                    self.core.engine.schedule_now(Ev::Scheme(CentaurEv::ControllerCheck));
                 }
             }
         }
     }
 
-    fn on_tx_end(&mut self, tx: domino_medium::TxId, now: SimTime) {
-        let receptions = self.medium.end(tx, now);
-        self.csma.scan(now, &mut self.engine, &self.medium);
-        // A data frame's NAV reserves the channel through its ACK; an
-        // idle transition it causes is anchored past that window.
-        let nav = match receptions.first().map(|r| &r.frame.body) {
-            Some(FrameBody::Data { .. }) => self.nav_window,
-            _ => SimDuration::ZERO,
-        };
-        scan_aps(
-            &mut self.ap_states,
-            &self.aps,
-            now,
-            &mut self.engine,
-            &self.medium,
-            self.fixed,
-            nav,
-        );
-        if let Some(first) = receptions.first() {
-            let src = first.frame.src;
-            match &first.frame.body {
-                FrameBody::Data { .. } => {
-                    let scheduled_ap = self.ap_states[src.index()]
-                        .as_mut()
-                        .filter(|s| s.phase == ApPhase::Transmitting);
-                    if let Some(st) = scheduled_ap {
-                        st.phase = ApPhase::AwaitAck;
-                        let gen = st.invalidate();
-                        self.engine.schedule_at(
-                            now + ack_timeout(self.rate),
-                            Ev::Scheme(CentaurEv::ApAckTimeout { ap: src.0, gen }),
-                        );
-                    } else if self.ap_states[src.index()].is_none() {
-                        self.csma.after_data_tx(src.index(), now, &mut self.engine);
-                    }
-                    // An AP whose state was torn down mid-air
-                    // (fault-plane crash) gets neither path: its frame
-                    // still delivers, nobody waits for the ACK.
-                    CsmaCore::handle_data_receptions(
-                        &receptions,
-                        now,
-                        &mut self.engine,
-                        &self.medium,
-                        &mut self.fe,
-                    );
-                    for flow in self.fe.tcp_flows() {
-                        sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                    }
-                }
-                FrameBody::MacAck { .. } => {
-                    for r in &receptions {
-                        if !self.csma.on_ack_reception(
-                            r,
-                            now,
-                            &mut self.engine,
-                            &self.medium,
-                            &mut self.fe,
-                        ) || self.ap_states[r.rx.index()].is_some()
-                        {
-                            handle_ap_ack(
-                                &self.net,
-                                r,
-                                now,
-                                &mut self.engine,
-                                &self.medium,
-                                &mut self.fe,
-                                &mut self.ap_states,
-                                &mut self.backbone,
-                                self.fixed,
-                            );
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
-    }
-
-    fn on_epoch_arrive(&mut self, ap: u32, epoch: u64, assignments: Vec<LinkId>, now: SimTime) {
-        let apx = ap as usize;
-        if now < self.ap_dark_until[apx] {
-            // The AP is crashed: the assignment dies with it; the epoch
-            // timeout will release the barrier.
-            return;
-        }
-        if let Some(downtime) = self.node_faults.crash() {
-            // Crash with state loss: forget everything, go dark for the
-            // downtime.
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
-                kind: FaultKind::ApCrash,
-                node: ap,
-            });
-            // lint: allow(D005) controller addresses epochs to APs only; a miss is a wiring bug worth a crash
-            let st = self.ap_states[apx].as_mut().expect("epoch for non-AP");
-            st.assignments.clear();
-            st.current = None;
-            st.current_link = None;
-            st.retries = 0;
-            st.phase = ApPhase::Idle;
-            st.invalidate();
-            self.ap_dark_until[apx] = now + downtime;
-            self.ap_crashed[apx] = true;
-            return;
-        }
-        if self.ap_crashed[apx] {
-            self.ap_crashed[apx] = false;
-            self.node_faults.recovered();
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultRecover {
-                kind: FaultKind::ApCrash,
-                node: ap,
-            });
-        }
-        // lint: allow(D005) controller addresses epochs to APs only; a miss is a wiring bug worth a crash
-        let st = self.ap_states[apx].as_mut().expect("epoch for non-AP");
-        st.assignments = assignments.into();
-        st.epoch = epoch;
-        match st.phase {
-            // Mid-flight (only reachable when the epoch timeout released
-            // the barrier early): keep the current exchange; the
-            // completion path advances into the new assignments.
-            ApPhase::Transmitting | ApPhase::AwaitAck => {}
-            _ if st.assignments.is_empty() => {
-                // Nothing to do: report done immediately.
-                if let Some(m) = self.backbone.try_send(now, ()) {
-                    self.engine.schedule_at(
-                        m.deliver_at,
-                        Ev::Scheme(CentaurEv::DoneArrive { ap, epoch }),
-                    );
-                }
-            }
-            _ => {
-                st.phase = ApPhase::WaitIdle;
-                arm_if_idle(st, apx, now, &mut self.engine, &self.medium, self.fixed);
-            }
-        }
-    }
-
-    fn on_controller_check(&mut self, now: SimTime) {
-        if now < self.ctrl_dark_until || self.pending_done > 0 {
-            // Crashed controller, or round still running.
-            return;
-        }
-        if self.standby && now >= self.next_ckpt_at {
-            // Ship the scheduler's fairness order to the warm standby.
-            // The copy is instantaneous but *stale by design*: a crash
-            // restores the order as of the last interval boundary.
-            let mut cw = SnapWriter::new();
-            self.sched.save(&mut cw);
-            let bytes = cw.into_bytes();
-            let len = bytes.len() as u32;
-            self.tracer
-                .emit(now.as_nanos(), move || TraceEvent::CtrlCheckpoint { bytes: len });
-            self.standby_ckpt = bytes;
-            self.next_ckpt_at = now + self.ckpt_every;
-        }
-        if let Some(downtime) = self.node_faults.ctrl_crash() {
-            self.crash_controller(now, downtime);
-            return;
-        }
-        // Snapshot downlink queues (instant AP→controller knowledge over
-        // the wire) and pick one maximal non-conflicting set for this
-        // round.
-        let mut backlog: Vec<u32> = self
-            .net
-            .links()
-            .iter()
-            .map(|l| {
-                if l.direction == Direction::Downlink {
-                    self.fe.queue(l.id).len() as u32
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let queue_lens = backlog.clone();
-        let batch = self.sched.schedule_batch(&self.graph, &mut backlog, 1);
-        let Some(round) = batch.slots.first() else {
-            self.engine
-                .schedule_in(SimDuration::from_millis(1), Ev::Scheme(CentaurEv::ControllerCheck));
-            return;
-        };
-        self.epoch_counter += 1;
-        self.pending_done = self.aps.len();
-        // A stalled controller computes the round late; every assignment
-        // ships after the stall.
-        let stall = match self.node_faults.compute_stall() {
-            Some(d) => {
-                // The controller is not a radio node; u32::MAX marks it.
-                self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
-                    kind: FaultKind::ComputeStall,
-                    node: u32::MAX,
-                });
-                d
-            }
-            None => SimDuration::ZERO,
-        };
-        // Each scheduled link gets a quota of up to `packets_per_round`
-        // back-to-back packets; the next round is released only when
-        // every AP reports done (the CENTAUR batch barrier).
-        for &ap in &self.aps {
-            let assignments: Vec<LinkId> = round
-                .iter()
-                .copied()
-                .filter(|&l| self.net.link(l).ap == ap)
-                .flat_map(|l| {
-                    let quota =
-                        (queue_lens[l.index()] as usize).min(self.packets_per_round);
-                    std::iter::repeat_n(l, quota)
-                })
-                .collect();
-            if let Some(m) = self.backbone.try_send(now, ()) {
-                self.engine.schedule_at(
-                    m.deliver_at + stall,
-                    Ev::Scheme(CentaurEv::EpochArrive {
-                        ap: ap.0,
-                        epoch: self.epoch_counter,
-                        assignments,
-                    }),
-                );
-            }
-        }
-        if self.faults_on {
-            // Fallback: a lost assignment or Done would hang the barrier
-            // forever without this.
-            let epoch = self.epoch_counter;
-            self.engine.schedule_at(
-                now + stall + EPOCH_TIMEOUT,
-                Ev::Scheme(CentaurEv::EpochTimeout { epoch }),
-            );
-        }
-    }
-
-    /// The primary controller crashes mid-compute. With a warm standby
-    /// the deterministic failure detector fires after
-    /// `standby_missed_k` silent heartbeat intervals and the standby
-    /// promotes itself, restoring the last shipped fairness-order
-    /// checkpoint (bounded staleness, no wall clocks). Without one, the
-    /// controller cold-restarts after its configured downtime with the
-    /// order lost.
-    fn crash_controller(&mut self, now: SimTime, downtime: SimDuration) {
-        self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
-            kind: FaultKind::CtrlCrash,
-            node: u32::MAX,
-        });
-        self.sched = RandScheduler::new(self.net.links().len());
-        let recovery = if self.standby {
-            if !self.standby_ckpt.is_empty() {
-                let mut r = SnapReader::new(&self.standby_ckpt);
-                // lint: allow(D005) the checkpoint bytes were produced by this very scheduler's save
-                self.sched.restore(&mut r).expect("standby checkpoint bytes");
-            }
-            self.fe.stats.faults.standby_promotions += 1;
-            self.tracer
-                .emit(now.as_nanos(), || TraceEvent::StandbyPromote { replayed: 0 });
-            self.detect_delay
-        } else {
-            downtime
-        };
-        self.fe.stats.faults.recovery_ns += recovery.as_nanos();
-        self.ctrl_dark_until = now + recovery;
-        self.engine
-            .schedule_at(self.ctrl_dark_until, Ev::Scheme(CentaurEv::ControllerCheck));
-    }
-
-    fn finalize(mut self) -> RunStats {
-        // End-of-run profile flush (no-ops when the handle is off).
-        self.engine.profile_wheel();
-        self.prof
-            .add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.prof
-            .add(domino_obs::CostPath::RngDcfBackoff, self.csma.rng_draws());
-        self.prof
-            .add(domino_obs::CostPath::RngWired, self.backbone.rng_draws());
-        self.prof.add(
-            domino_obs::CostPath::RngFaults,
-            self.node_faults.rng_draws()
-                + self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
-        );
-        self.fe.stats.events = self.engine.events_processed();
-        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
-        self.fe.stats.faults.merge_node(&self.node_faults);
-        self.fe
+    fn finish(self) -> Core<Ev<CentaurEv>> {
+        let prof = &self.core.prof;
+        prof.add(CostPath::RngDcfBackoff, self.csma.rng_draws());
+        prof.add(CostPath::RngWired, self.backbone.rng_draws());
+        let mut core = self.core;
+        core.fe
             .stats
             .faults
             .merge_backbone(self.backbone.messages_lost(), self.backbone.spikes_injected());
-        if let Some(mf) = self.medium.faults() {
-            self.fe.stats.faults.merge_medium(mf);
-        }
-        self.fe.stats
+        core
     }
 
-    fn snapshot_save(&mut self, w: &mut SnapWriter) {
-        self.engine.snapshot_save(w);
-        self.medium.snapshot_save(w);
-        self.fe.snapshot_save(w);
+    fn save(&self, w: &mut SnapWriter) {
         self.backbone.save(w);
         self.csma.save(w);
         self.sched.save(w);
-        self.node_faults.save(w);
-        self.rto_gen.put(w);
         self.ap_states.put(w);
         w.put_u64(self.epoch_counter);
         w.put_u64(self.pending_done as u64);
@@ -1037,19 +551,10 @@ impl CentaurWorld {
         self.next_ckpt_at.put(w);
     }
 
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine.snapshot_restore(r)?;
-        self.medium.snapshot_restore(r)?;
-        self.fe.snapshot_restore(r)?;
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.backbone.restore(r)?;
         self.csma.restore(r)?;
         self.sched.restore(r)?;
-        self.node_faults.restore(r)?;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
-        }
-        self.rto_gen = rto_gen;
         let ap_states: Vec<Option<ApState>> = SnapValue::thaw(r)?;
         if ap_states.len() != self.ap_states.len() {
             return Err(SnapError::Corrupt("ap state table length"));
@@ -1076,6 +581,271 @@ impl CentaurWorld {
         self.standby_ckpt = SnapValue::thaw(r)?;
         self.next_ckpt_at = SnapValue::thaw(r)?;
         Ok(())
+    }
+}
+
+impl CentaurWorld {
+    fn on_tx_end(&mut self, tx: domino_medium::TxId, now: SimTime) {
+        let receptions = self.core.medium.end(tx, now);
+        self.csma.scan(now, &mut self.core.engine, &self.core.medium);
+        // A data frame's NAV reserves the channel through its ACK; an
+        // idle transition it causes is anchored past that window.
+        let nav = match receptions.first().map(|r| &r.frame.body) {
+            Some(FrameBody::Data { .. }) => self.nav_window,
+            _ => SimDuration::ZERO,
+        };
+        scan_aps(
+            &mut self.ap_states,
+            &self.aps,
+            now,
+            &mut self.core.engine,
+            &self.core.medium,
+            self.fixed,
+            nav,
+        );
+        if let Some(first) = receptions.first() {
+            let src = first.frame.src;
+            match &first.frame.body {
+                FrameBody::Data { .. } => {
+                    let scheduled_ap = self.ap_states[src.index()]
+                        .as_mut()
+                        .filter(|s| s.phase == ApPhase::Transmitting);
+                    if let Some(st) = scheduled_ap {
+                        st.phase = ApPhase::AwaitAck;
+                        let gen = st.invalidate();
+                        self.core.engine.schedule_at(
+                            now + ack_timeout(self.rate),
+                            Ev::Scheme(CentaurEv::ApAckTimeout { ap: src.0, gen }),
+                        );
+                    } else if self.ap_states[src.index()].is_none() {
+                        self.csma.after_data_tx(src.index(), now, &mut self.core.engine);
+                    }
+                    // An AP whose state was torn down mid-air
+                    // (fault-plane crash) gets neither path: its frame
+                    // still delivers, nobody waits for the ACK.
+                    CsmaCore::handle_data_receptions(
+                        &receptions,
+                        now,
+                        &mut self.core.engine,
+                        &self.core.medium,
+                        &mut self.core.fe,
+                    );
+                    self.core.fe.sync_all_rto(now, &mut self.core.engine);
+                }
+                FrameBody::MacAck { .. } => {
+                    for r in &receptions {
+                        if !self.csma.on_ack_reception(
+                            r,
+                            now,
+                            &mut self.core.engine,
+                            &self.core.medium,
+                            &mut self.core.fe,
+                        ) || self.ap_states[r.rx.index()].is_some()
+                        {
+                            handle_ap_ack(
+                                &self.core.net,
+                                r,
+                                now,
+                                &mut self.core.engine,
+                                &self.core.medium,
+                                &mut self.core.fe,
+                                &mut self.ap_states,
+                                &mut self.backbone,
+                                self.fixed,
+                            );
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.csma.try_start_all(now, &mut self.core.engine, &self.core.medium, &self.core.fe);
+    }
+
+    fn on_epoch_arrive(&mut self, ap: u32, epoch: u64, assignments: Vec<LinkId>, now: SimTime) {
+        let apx = ap as usize;
+        if now < self.ap_dark_until[apx] {
+            // The AP is crashed: the assignment dies with it; the epoch
+            // timeout will release the barrier.
+            return;
+        }
+        if let Some(downtime) = self.core.node_faults.crash() {
+            // Crash with state loss: forget everything, go dark for the
+            // downtime.
+            self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+                kind: FaultKind::ApCrash,
+                node: ap,
+            });
+            // lint: allow(D005) controller addresses epochs to APs only; a miss is a wiring bug worth a crash
+            let st = self.ap_states[apx].as_mut().expect("epoch for non-AP");
+            st.assignments.clear();
+            st.current = None;
+            st.current_link = None;
+            st.retries = 0;
+            st.phase = ApPhase::Idle;
+            st.invalidate();
+            self.ap_dark_until[apx] = now + downtime;
+            self.ap_crashed[apx] = true;
+            return;
+        }
+        if self.ap_crashed[apx] {
+            self.ap_crashed[apx] = false;
+            self.core.node_faults.recovered();
+            self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultRecover {
+                kind: FaultKind::ApCrash,
+                node: ap,
+            });
+        }
+        // lint: allow(D005) controller addresses epochs to APs only; a miss is a wiring bug worth a crash
+        let st = self.ap_states[apx].as_mut().expect("epoch for non-AP");
+        st.assignments = assignments.into();
+        st.epoch = epoch;
+        match st.phase {
+            // Mid-flight (only reachable when the epoch timeout released
+            // the barrier early): keep the current exchange; the
+            // completion path advances into the new assignments.
+            ApPhase::Transmitting | ApPhase::AwaitAck => {}
+            _ if st.assignments.is_empty() => {
+                // Nothing to do: report done immediately.
+                if let Some(m) = self.backbone.try_send(now, ()) {
+                    self.core.engine.schedule_at(
+                        m.deliver_at,
+                        Ev::Scheme(CentaurEv::DoneArrive { ap, epoch }),
+                    );
+                }
+            }
+            _ => {
+                st.phase = ApPhase::WaitIdle;
+                arm_if_idle(st, apx, now, &mut self.core.engine, &self.core.medium, self.fixed);
+            }
+        }
+    }
+
+    fn on_controller_check(&mut self, now: SimTime) {
+        if now < self.ctrl_dark_until || self.pending_done > 0 {
+            // Crashed controller, or round still running.
+            return;
+        }
+        if self.standby && now >= self.next_ckpt_at {
+            // Ship the scheduler's fairness order to the warm standby.
+            // The copy is instantaneous but *stale by design*: a crash
+            // restores the order as of the last interval boundary.
+            let mut cw = SnapWriter::new();
+            self.sched.save(&mut cw);
+            let bytes = cw.into_bytes();
+            let len = bytes.len() as u32;
+            self.core.tracer
+                .emit(now.as_nanos(), move || TraceEvent::CtrlCheckpoint { bytes: len });
+            self.standby_ckpt = bytes;
+            self.next_ckpt_at = now + self.ckpt_every;
+        }
+        if let Some(downtime) = self.core.node_faults.ctrl_crash() {
+            self.crash_controller(now, downtime);
+            return;
+        }
+        // Snapshot downlink queues (instant AP→controller knowledge over
+        // the wire) and pick one maximal non-conflicting set for this
+        // round.
+        let mut backlog: Vec<u32> = self.core
+            .net
+            .links()
+            .iter()
+            .map(|l| {
+                if l.direction == Direction::Downlink {
+                    self.core.fe.queue(l.id).len() as u32
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let queue_lens = backlog.clone();
+        let batch = self.sched.schedule_batch(&self.graph, &mut backlog, 1);
+        let Some(round) = batch.slots.first() else {
+            self.core.engine
+                .schedule_in(SimDuration::from_millis(1), Ev::Scheme(CentaurEv::ControllerCheck));
+            return;
+        };
+        self.epoch_counter += 1;
+        self.pending_done = self.aps.len();
+        // A stalled controller computes the round late; every assignment
+        // ships after the stall.
+        let stall = match self.core.node_faults.compute_stall() {
+            Some(d) => {
+                // The controller is not a radio node; u32::MAX marks it.
+                self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+                    kind: FaultKind::ComputeStall,
+                    node: u32::MAX,
+                });
+                d
+            }
+            None => SimDuration::ZERO,
+        };
+        // Each scheduled link gets a quota of up to `packets_per_round`
+        // back-to-back packets; the next round is released only when
+        // every AP reports done (the CENTAUR batch barrier).
+        for &ap in &self.aps {
+            let assignments: Vec<LinkId> = round
+                .iter()
+                .copied()
+                .filter(|&l| self.core.net.link(l).ap == ap)
+                .flat_map(|l| {
+                    let quota =
+                        (queue_lens[l.index()] as usize).min(self.packets_per_round);
+                    std::iter::repeat_n(l, quota)
+                })
+                .collect();
+            if let Some(m) = self.backbone.try_send(now, ()) {
+                self.core.engine.schedule_at(
+                    m.deliver_at + stall,
+                    Ev::Scheme(CentaurEv::EpochArrive {
+                        ap: ap.0,
+                        epoch: self.epoch_counter,
+                        assignments,
+                    }),
+                );
+            }
+        }
+        if self.faults_on {
+            // Fallback: a lost assignment or Done would hang the barrier
+            // forever without this.
+            let epoch = self.epoch_counter;
+            self.core.engine.schedule_at(
+                now + stall + EPOCH_TIMEOUT,
+                Ev::Scheme(CentaurEv::EpochTimeout { epoch }),
+            );
+        }
+    }
+
+    /// The primary controller crashes mid-compute. With a warm standby
+    /// the deterministic failure detector fires after
+    /// `standby_missed_k` silent heartbeat intervals and the standby
+    /// promotes itself, restoring the last shipped fairness-order
+    /// checkpoint (bounded staleness, no wall clocks). Without one, the
+    /// controller cold-restarts after its configured downtime with the
+    /// order lost.
+    fn crash_controller(&mut self, now: SimTime, downtime: SimDuration) {
+        self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+            kind: FaultKind::CtrlCrash,
+            node: u32::MAX,
+        });
+        self.sched = RandScheduler::new(self.core.net.links().len());
+        let recovery = if self.standby {
+            if !self.standby_ckpt.is_empty() {
+                let mut r = SnapReader::new(&self.standby_ckpt);
+                // lint: allow(D005) the checkpoint bytes were produced by this very scheduler's save
+                self.sched.restore(&mut r).expect("standby checkpoint bytes");
+            }
+            self.core.fe.stats.faults.standby_promotions += 1;
+            self.core.tracer
+                .emit(now.as_nanos(), || TraceEvent::StandbyPromote { replayed: 0 });
+            self.detect_delay
+        } else {
+            downtime
+        };
+        self.core.fe.stats.faults.recovery_ns += recovery.as_nanos();
+        self.ctrl_dark_until = now + recovery;
+        self.core.engine
+            .schedule_at(self.ctrl_dark_until, Ev::Scheme(CentaurEv::ControllerCheck));
     }
 }
 
@@ -1277,7 +1047,10 @@ fn advance_ap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcf::DcfSim;
+    use crate::dcf::DcfWorld;
+    use crate::world::tests::{run_faulted, run_plain};
+    use crate::Workload;
+    use domino_faults::FaultConfig;
     use domino_topology::presets::{fig13a, fig13b, fig1};
     use domino_topology::PhyParams;
 
@@ -1285,24 +1058,12 @@ mod tests {
         net.links().iter().filter(|l| l.is_downlink()).map(|l| l.id).collect()
     }
 
-    fn assert_stats_eq(a: &RunStats, b: &RunStats) {
-        assert_eq!(a.delivered_bits, b.delivered_bits);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.drops, b.drops);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.ack_timeouts, b.ack_timeouts);
-        assert_eq!(a.faults, b.faults);
-        for (da, db) in a.delays.iter().zip(&b.delays) {
-            assert_eq!(da.samples(), db.samples());
-        }
-    }
-
     #[test]
     fn exposed_set_runs_concurrently_fig13a() {
         let net = fig13a(PhyParams::default());
         let w = Workload::udp_saturated(&downlinks(&net));
-        let centaur = CentaurSim::run(&net, &w, 3.0, 1).aggregate_mbps();
-        let dcf = DcfSim::run(&net, &w, 3.0, 1).aggregate_mbps();
+        let centaur = run_plain::<CentaurWorld>(&net, &w, 3.0, 1).aggregate_mbps();
+        let dcf = run_plain::<DcfWorld>(&net, &w, 3.0, 1).aggregate_mbps();
         // Table 3 row 1: CENTAUR ≈ 3x DCF on mutually exposed links.
         assert!(
             centaur > dcf * 2.0,
@@ -1315,8 +1076,8 @@ mod tests {
     fn common_exposed_neighbour_breaks_alignment_fig13b() {
         let net = fig13b(PhyParams::default());
         let w = Workload::udp_saturated(&downlinks(&net));
-        let centaur = CentaurSim::run(&net, &w, 3.0, 1);
-        let dcf = DcfSim::run(&net, &w, 3.0, 1);
+        let centaur = run_plain::<CentaurWorld>(&net, &w, 3.0, 1);
+        let dcf = run_plain::<DcfWorld>(&net, &w, 3.0, 1);
         // Table 3 row 2: CENTAUR falls below DCF.
         assert!(
             centaur.aggregate_mbps() < dcf.aggregate_mbps(),
@@ -1332,8 +1093,8 @@ mod tests {
         // Only the two hidden downlinks (AP1->C1 and AP3->C3).
         let d = downlinks(&net);
         let w = Workload::udp_saturated(&[d[0], d[2]]);
-        let centaur = CentaurSim::run(&net, &w, 3.0, 2);
-        let dcf = DcfSim::run(&net, &w, 3.0, 2);
+        let centaur = run_plain::<CentaurWorld>(&net, &w, 3.0, 2);
+        let dcf = run_plain::<DcfWorld>(&net, &w, 3.0, 2);
         // The scheduler never puts the conflicting pair in one round, so
         // CENTAUR rescues the hidden-terminal victim (AP3->C3) that DCF
         // starves, and collision timeouts all but disappear.
@@ -1359,9 +1120,9 @@ mod tests {
         let net = fig1(PhyParams::default());
         let d = downlinks(&net);
         let down_only = Workload::udp_saturated(&[d[0], d[2]]);
-        let down = CentaurSim::run(&net, &down_only, 2.0, 3);
+        let down = run_plain::<CentaurWorld>(&net, &down_only, 2.0, 3);
         let with_up = Workload::udp_updown(&net, 10e6, 10e6);
-        let both = CentaurSim::run(&net, &with_up, 2.0, 3);
+        let both = run_plain::<CentaurWorld>(&net, &with_up, 2.0, 3);
         let down_tput_alone = down.link_mbps(d[0]) + down.link_mbps(d[2]);
         let down_tput_disturbed = both.link_mbps(d[0]) + both.link_mbps(d[2]);
         assert!(
@@ -1374,84 +1135,9 @@ mod tests {
     fn deterministic() {
         let net = fig13a(PhyParams::default());
         let w = Workload::udp_saturated(&downlinks(&net));
-        let a = CentaurSim::run(&net, &w, 1.0, 5);
-        let b = CentaurSim::run(&net, &w, 1.0, 5);
+        let a = run_plain::<CentaurWorld>(&net, &w, 1.0, 5);
+        let b = run_plain::<CentaurWorld>(&net, &w, 1.0, 5);
         assert_eq!(a.delivered_bits, b.delivered_bits);
-    }
-
-    #[test]
-    fn checkpoint_and_resume_match_uninterrupted_run() {
-        let net = fig13a(PhyParams::default());
-        let w = Workload::udp_saturated(&downlinks(&net));
-        let off = FaultConfig::off();
-        let baseline = CentaurSim::run(&net, &w, 1.0, 5);
-        let boundary = SimTime::from_nanos(400_000_000);
-        let mut snap: Option<Vec<u8>> = None;
-        let ckpt = CentaurSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            5,
-            CentaurConfig::default(),
-            &off,
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| snap = Some(bytes),
-        );
-        assert_stats_eq(&ckpt, &baseline);
-        let resumed = CentaurSim::resume(
-            &net,
-            &w,
-            1.0,
-            5,
-            CentaurConfig::default(),
-            &off,
-            TraceHandle::off(),
-            &snap.unwrap(),
-        )
-        .unwrap();
-        assert_stats_eq(&resumed, &baseline);
-    }
-
-    #[test]
-    fn checkpoint_resume_under_ctrl_crash_and_standby() {
-        let net = fig13b(PhyParams::default());
-        let w = Workload::udp_saturated(&downlinks(&net));
-        let faults = FaultConfig {
-            ctrl_crash: 0.05,
-            ctrl_downtime_us: 20_000.0,
-            standby: true,
-            ..FaultConfig::off()
-        };
-        let baseline =
-            CentaurSim::run_faulted(&net, &w, 2.0, 9, CentaurConfig::default(), &faults);
-        assert!(baseline.faults.ctrl_crashes > 0, "seed must exercise the crash path");
-        let boundary = SimTime::from_nanos(900_000_000);
-        let mut snap: Option<Vec<u8>> = None;
-        let ckpt = CentaurSim::run_ckpt(
-            &net,
-            &w,
-            2.0,
-            9,
-            CentaurConfig::default(),
-            &faults,
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| snap = Some(bytes),
-        );
-        assert_stats_eq(&ckpt, &baseline);
-        let resumed = CentaurSim::resume(
-            &net,
-            &w,
-            2.0,
-            9,
-            CentaurConfig::default(),
-            &faults,
-            TraceHandle::off(),
-            &snap.unwrap(),
-        )
-        .unwrap();
-        assert_stats_eq(&resumed, &baseline);
     }
 
     #[test]
@@ -1464,8 +1150,8 @@ mod tests {
             ..FaultConfig::off()
         };
         let warm_cfg = FaultConfig { standby: true, ..cold_cfg.clone() };
-        let cold = CentaurSim::run_faulted(&net, &w, 3.0, 7, CentaurConfig::default(), &cold_cfg);
-        let warm = CentaurSim::run_faulted(&net, &w, 3.0, 7, CentaurConfig::default(), &warm_cfg);
+        let cold = run_faulted::<CentaurWorld>(&net, &w, 3.0, 7, &cold_cfg, CentaurConfig::default());
+        let warm = run_faulted::<CentaurWorld>(&net, &w, 3.0, 7, &warm_cfg, CentaurConfig::default());
         assert!(cold.faults.ctrl_crashes > 0, "crashes: {}", cold.faults.ctrl_crashes);
         assert_eq!(cold.faults.standby_promotions, 0);
         assert!(warm.faults.standby_promotions > 0);

@@ -6,44 +6,28 @@
 //! Hidden- and exposed-terminal behaviour emerges from the medium's RSS
 //! physics, not from special cases.
 //!
-//! [`CsmaCore`] is the per-node contention machine; [`DcfSim`] wires it
-//! to the traffic engine for a pure-DCF run. CENTAUR reuses `CsmaCore`
+//! [`CsmaCore`] is the per-node contention machine; [`DcfWorld`] wires it
+//! to the shared run core for a pure-DCF run. CENTAUR reuses `CsmaCore`
 //! for its unscheduled uplink.
 
-use crate::flows::{FlowEngine, TCP_TICK};
+use crate::flows::{FlowEngine, Fired, TrafficEv};
 use crate::timing::{ack_airtime, ack_timeout, data_airtime, CW_MAX, CW_MIN, DIFS, RETRY_LIMIT, SIFS, SLOT_TIME};
-use crate::workload::{client_indices, RunStats, Workload};
-use domino_faults::{FaultConfig, FaultPlane};
+use crate::world::{Core, Setup, World};
 use domino_medium::{Frame, FrameBody, Medium, Reception, TxId};
+use domino_obs::{CostPath, TraceHandle};
 use domino_phy::error_model::DataRate;
-use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{Engine, SimRng, SimTime};
 use domino_topology::{LinkId, Network, NodeId};
-use domino_traffic::{Packet, PacketId};
+use domino_traffic::Packet;
 
 /// Events of a CSMA-based run. `X` is the scheme extension (unit for pure
 /// DCF; CENTAUR adds epoch events).
 #[derive(Debug)]
 pub enum Ev<X> {
-    /// A UDP flow's next packet is due.
-    UdpArrival {
-        /// Flow index.
-        flow: usize,
-    },
-    /// Periodic TCP application tick.
-    TcpTick {
-        /// Flow index.
-        flow: usize,
-    },
-    /// TCP retransmission-timer check.
-    TcpRto {
-        /// Flow index.
-        flow: usize,
-        /// Staleness guard.
-        gen: u64,
-    },
+    /// A shared traffic event (see [`FlowEngine::on_event`]).
+    Traffic(TrafficEv),
     /// A transmission leaves the air.
     TxEnd {
         /// Medium handle.
@@ -79,12 +63,9 @@ impl<X> Ev<X> {
     /// extension `X` is the controller plane (CENTAUR's epochs,
     /// OMNISCIENT's oracle steps), so `Scheme(_)` bills as controller
     /// work. Exhaustive on purpose: a new variant must pick its bucket.
-    pub(crate) fn cost_class(&self) -> domino_obs::CostPath {
-        use domino_obs::CostPath;
+    pub(crate) fn cost_class(&self) -> CostPath {
         match self {
-            Ev::UdpArrival { .. } | Ev::TcpTick { .. } | Ev::TcpRto { .. } => {
-                CostPath::EvTraffic
-            }
+            Ev::Traffic(_) => CostPath::EvTraffic,
             Ev::TxEnd { .. } => CostPath::EvMedium,
             Ev::BackoffExpire { .. } | Ev::AckTimeout { .. } | Ev::SendAck { .. } => {
                 CostPath::EvSlot
@@ -94,21 +75,18 @@ impl<X> Ev<X> {
     }
 }
 
+impl<X> From<TrafficEv> for Ev<X> {
+    fn from(ev: TrafficEv) -> Self {
+        Ev::Traffic(ev)
+    }
+}
+
 impl<X: SnapValue> SnapValue for Ev<X> {
     fn put(&self, w: &mut SnapWriter) {
         match self {
-            Ev::UdpArrival { flow } => {
+            Ev::Traffic(ev) => {
                 w.put_u8(0);
-                flow.put(w);
-            }
-            Ev::TcpTick { flow } => {
-                w.put_u8(1);
-                flow.put(w);
-            }
-            Ev::TcpRto { flow, gen } => {
-                w.put_u8(2);
-                flow.put(w);
-                w.put_u64(*gen);
+                ev.put(w);
             }
             Ev::TxEnd { tx } => {
                 w.put_u8(3);
@@ -137,9 +115,7 @@ impl<X: SnapValue> SnapValue for Ev<X> {
     }
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.get_u8()? {
-            0 => Ev::UdpArrival { flow: SnapValue::thaw(r)? },
-            1 => Ev::TcpTick { flow: SnapValue::thaw(r)? },
-            2 => Ev::TcpRto { flow: SnapValue::thaw(r)?, gen: r.get_u64()? },
+            0 => Ev::Traffic(SnapValue::thaw(r)?),
             3 => Ev::TxEnd { tx: SnapValue::thaw(r)? },
             4 => Ev::BackoffExpire { node: r.get_u32()?, gen: r.get_u64()? },
             5 => Ev::AckTimeout { node: r.get_u32()?, gen: r.get_u64()? },
@@ -531,6 +507,23 @@ impl CsmaCore {
         }
     }
 
+    /// The CSMA family's reaction to a traffic event: a new UDP packet
+    /// kicks its sender; TCP progress re-arms that flow's RTO and kicks
+    /// every contender.
+    pub fn on_traffic<X>(&mut self, ev: TrafficEv, now: SimTime, c: &mut Core<Ev<X>>) {
+        match c.fe.on_event(ev, now, &mut c.engine) {
+            Some(Fired::Udp(flow)) => {
+                let sender = c.net.link(c.fe.flow_link(flow)).sender.index();
+                self.try_start(sender, now, &mut c.engine, &c.medium, &c.fe);
+            }
+            Some(Fired::Tcp(flow)) => {
+                c.fe.sync_rto(flow, now, &mut c.engine);
+                self.try_start_all(now, &mut c.engine, &c.medium, &c.fe);
+            }
+            None => {}
+        }
+    }
+
     /// Whether `node`'s data frame is on the air (used by scheme engines
     /// routing TxEnd events).
     pub fn is_node_transmitting_data(&self, node: usize) -> bool {
@@ -577,349 +570,114 @@ impl Snapshot for CsmaCore {
     }
 }
 
-/// A pure-DCF simulation run.
+/// The complete state of a pure-DCF run between events.
 #[derive(Debug)]
-pub struct DcfSim;
-
-impl DcfSim {
-    /// Run `workload` over `net` for `duration_s` seconds of simulated
-    /// time.
-    pub fn run(net: &Network, workload: &Workload, duration_s: f64, seed: u64) -> RunStats {
-        DcfSim::run_faulted(net, workload, duration_s, seed, &FaultConfig::off())
-    }
-
-    /// [`DcfSim::run`] under a fault plane. With `faults` all off this is
-    /// byte-identical to the plain run (the plane makes zero draws and the
-    /// medium hook is never installed).
-    pub fn run_faulted(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-    ) -> RunStats {
-        Self::run_traced(net, workload, duration_s, seed, faults, domino_obs::TraceHandle::off())
-    }
-
-    /// [`DcfSim::run_faulted`] with a trace sink attached. DCF has no
-    /// scheduler, so only the engine's liveness events and the medium's
-    /// fault injections appear in its trace. Tracing is observation only —
-    /// with the handle off this is byte-identical to the untraced run.
-    pub fn run_traced(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-    ) -> RunStats {
-        DcfSim::run_ckpt(net, workload, duration_s, seed, faults, tracer, &[], &mut |_, _| {})
-    }
-
-    /// [`DcfSim::run_traced`] with a cost profiler attached. Profiling is
-    /// observation only — no draws, no events, no hot-path allocation —
-    /// so a run with the handle off is byte-identical to a profiled one.
-    pub fn run_profiled(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-        prof: domino_obs::ProfHandle,
-    ) -> RunStats {
-        let mut world = DcfWorld::new(net, workload, duration_s, seed, faults, tracer);
-        world.set_profiler(prof);
-        let horizon = SimTime::ZERO + domino_sim::SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// [`DcfSim::run_traced`] with snapshot boundaries: at each instant in
-    /// `boundaries` (sorted, within the run) the full world state is
-    /// serialized and handed to `sink`, then the run *continues* — the
-    /// returned stats are byte-identical to a boundary-free run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_ckpt(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        let mut world = DcfWorld::new(net, workload, duration_s, seed, faults, tracer);
-        let horizon = SimTime::ZERO + domino_sim::SimDuration::from_secs_f64(duration_s);
-        for &b in boundaries.iter().filter(|&&b| b <= horizon) {
-            // Events at exactly `b` land after the snapshot: drive the
-            // engine through b−1ns (pop_until is horizon-inclusive).
-            if b > SimTime::ZERO && !world.drive(b - domino_sim::SimDuration::from_nanos(1)) {
-                return world.finalize(); // livelocked mid-run
-            }
-            let mut w = SnapWriter::new();
-            world.snapshot_save(&mut w);
-            sink(b, w.into_bytes());
-        }
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// Rebuild a run from a [`DcfSim::run_ckpt`] payload taken at some
-    /// boundary and run it to completion. The world is reconstructed from
-    /// the same `(net, workload, duration, seed, faults)` the original
-    /// run used; the payload supplies only the dynamic state.
-    pub fn resume(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-        payload: &[u8],
-    ) -> Result<RunStats, SnapError> {
-        let mut world = DcfWorld::new(net, workload, duration_s, seed, faults, tracer);
-        let mut r = SnapReader::new(payload);
-        world.snapshot_restore(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError::Corrupt("trailing snapshot bytes"));
-        }
-        let horizon = SimTime::ZERO + domino_sim::SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        Ok(world.finalize())
-    }
-}
-
-/// The complete state of a DCF run between events.
-#[derive(Debug)]
-struct DcfWorld {
-    net: Network,
-    engine: Engine<Ev<()>>,
-    medium: Medium,
-    fe: FlowEngine,
+pub struct DcfWorld {
+    core: Core<Ev<()>>,
     csma: CsmaCore,
-    rto_gen: Vec<u64>,
-    /// Observation-only cost profiler (off by default).
-    prof: domino_obs::ProfHandle,
 }
 
-impl DcfWorld {
-    fn new(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-    ) -> DcfWorld {
-        let mut engine: Engine<Ev<()>> = Engine::new();
-        let mut medium = Medium::new(net.clone(), seed);
-        let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
-        if plane.cfg.enabled() {
-            medium.set_faults(plane.medium);
-        }
-        medium.set_tracer(tracer.clone());
-        engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_tracer(tracer);
-        let fe = FlowEngine::new(net, workload, duration_s);
-        let contenders: Vec<NodeId> = (0..net.num_nodes() as u32).map(NodeId).collect();
-        let csma = CsmaCore::new(net, &contenders, seed);
-        let rto_gen: Vec<u64> = vec![0; workload.flows.len()];
+impl World for DcfWorld {
+    type Ev = Ev<()>;
+    type Config = ();
 
-        for flow in fe.udp_flows() {
-            engine.schedule_at(fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-        }
-        for flow in fe.tcp_flows() {
-            engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
-        }
-        DcfWorld {
-            net: net.clone(),
-            engine,
-            medium,
-            fe,
-            csma,
-            rto_gen,
-            prof: domino_obs::ProfHandle::off(),
-        }
+    fn build(setup: &Setup<'_>, (): (), tracer: TraceHandle) -> DcfWorld {
+        let core = Core::new(setup, tracer);
+        let contenders: Vec<NodeId> = (0..setup.net.num_nodes() as u32).map(NodeId).collect();
+        let csma = CsmaCore::new(setup.net, &contenders, setup.seed);
+        DcfWorld { core, csma }
     }
 
-    /// Attach a cost profiler to the engine, the medium and the world's
-    /// own event dispatch.
-    fn set_profiler(&mut self, prof: domino_obs::ProfHandle) {
-        self.engine.set_profiler(prof.clone());
-        self.medium.set_profiler(prof.clone());
-        self.prof = prof;
+    fn core(&mut self) -> &mut Core<Ev<()>> {
+        &mut self.core
     }
 
-    /// Process events through `horizon` (inclusive). Returns false when
-    /// the liveness monitor aborted the run.
-    fn drive(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.engine.pop_until_checked(horizon) {
-                Ok(Some((now, ev))) => self.handle(now, ev),
-                Ok(None) => return true,
-                Err(_livelock) => {
-                    self.fe.stats.faults.livelocks += 1;
-                    return false;
-                }
-            }
-        }
+    fn cost_class(ev: &Ev<()>) -> CostPath {
+        ev.cost_class()
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<()>) {
-        self.prof.tick(ev.cost_class());
+        let c = &mut self.core;
         match ev {
-            Ev::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine.schedule_at(self.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-                let sender = sender_of_flow(&self.net, &self.fe, flow);
-                self.csma.try_start(sender, now, &mut self.engine, &self.medium, &self.fe);
-            }
-            Ev::TcpTick { flow } => {
-                self.fe.tcp_tick(flow, now);
-                self.engine.schedule_in(TCP_TICK, Ev::TcpTick { flow });
-                sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
-            }
-            Ev::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] == gen {
-                    self.fe.tcp_timer(flow, now);
-                    sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                    self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
-                }
-            }
+            Ev::Traffic(ev) => self.csma.on_traffic(ev, now, c),
             Ev::BackoffExpire { node, gen } => {
                 self.csma.on_backoff_expire(
                     node as usize,
                     gen,
                     now,
-                    &mut self.engine,
-                    &mut self.medium,
-                    &mut self.fe,
+                    &mut c.engine,
+                    &mut c.medium,
+                    &mut c.fe,
                 );
             }
             Ev::TxEnd { tx } => {
-                let receptions = self.medium.end(tx, now);
-                self.csma.scan(now, &mut self.engine, &self.medium);
+                let receptions = c.medium.end(tx, now);
+                self.csma.scan(now, &mut c.engine, &c.medium);
                 if let Some(first) = receptions.first() {
                     match &first.frame.body {
                         FrameBody::Data { .. } => {
-                            self.csma.after_data_tx(first.frame.src.index(), now, &mut self.engine);
+                            self.csma.after_data_tx(first.frame.src.index(), now, &mut c.engine);
                             CsmaCore::handle_data_receptions(
                                 &receptions,
                                 now,
-                                &mut self.engine,
-                                &self.medium,
-                                &mut self.fe,
+                                &mut c.engine,
+                                &c.medium,
+                                &mut c.fe,
                             );
-                            for flow in self.fe.tcp_flows() {
-                                sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                            }
+                            c.fe.sync_all_rto(now, &mut c.engine);
                         }
                         FrameBody::MacAck { .. } => {
                             for r in &receptions {
                                 self.csma.on_ack_reception(
                                     r,
                                     now,
-                                    &mut self.engine,
-                                    &self.medium,
-                                    &mut self.fe,
+                                    &mut c.engine,
+                                    &c.medium,
+                                    &mut c.fe,
                                 );
                             }
                         }
                         _ => {}
                     }
                 }
-                self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
+                self.csma.try_start_all(now, &mut c.engine, &c.medium, &c.fe);
             }
             Ev::SendAck { rx, packet } => {
-                self.csma.send_ack(rx as usize, &packet, now, &mut self.engine, &mut self.medium);
+                self.csma.send_ack(rx as usize, &packet, now, &mut c.engine, &mut c.medium);
             }
             Ev::AckTimeout { node, gen } => {
                 self.csma.on_ack_timeout(
                     node as usize,
                     gen,
                     now,
-                    &mut self.engine,
-                    &self.medium,
-                    &mut self.fe,
+                    &mut c.engine,
+                    &c.medium,
+                    &mut c.fe,
                 );
             }
             Ev::Scheme(()) => {}
         }
     }
 
-    fn finalize(mut self) -> RunStats {
-        // End-of-run profile flush (no-ops when the handle is off).
-        self.engine.profile_wheel();
-        self.prof
-            .add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.prof
-            .add(domino_obs::CostPath::RngDcfBackoff, self.csma.rng_draws());
-        self.prof.add(
-            domino_obs::CostPath::RngFaults,
-            self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
-        );
-        self.fe.stats.events = self.engine.events_processed();
-        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
-        if let Some(mf) = self.medium.faults() {
-            self.fe.stats.faults.merge_medium(mf);
-        }
-        self.fe.stats
+    fn finish(self) -> Core<Ev<()>> {
+        self.core.prof.add(CostPath::RngDcfBackoff, self.csma.rng_draws());
+        self.core
     }
 
-    /// Serialize every dynamic component, in a fixed order. `&mut`
-    /// because the engine drains and rebuilds its wheel in place.
-    fn snapshot_save(&mut self, w: &mut SnapWriter) {
-        self.engine.snapshot_save(w);
-        self.medium.snapshot_save(w);
-        self.fe.snapshot_save(w);
+    fn save(&self, w: &mut SnapWriter) {
         self.csma.save(w);
-        self.rto_gen.put(w);
     }
 
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine.snapshot_restore(r)?;
-        self.medium.snapshot_restore(r)?;
-        self.fe.snapshot_restore(r)?;
-        self.csma.restore(r)?;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
-        }
-        self.rto_gen = rto_gen;
-        Ok(())
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.csma.restore(r)
     }
 }
-
-/// The sender node of a flow's link.
-fn sender_of_flow(net: &Network, fe: &FlowEngine, flow: usize) -> usize {
-    net.link(fe.flow_link(flow)).sender.index()
-}
-
-/// Re-arm a TCP flow's RTO event after its deadline may have moved.
-pub(crate) fn sync_rto<X>(
-    engine: &mut Engine<Ev<X>>,
-    fe: &FlowEngine,
-    rto_gen: &mut [u64],
-    flow: usize,
-    now: SimTime,
-) {
-    rto_gen[flow] += 1;
-    if let Some(deadline) = fe.tcp_rto_deadline(flow) {
-        let at = deadline.max(now);
-        engine.schedule_at(at, Ev::TcpRto { flow, gen: rto_gen[flow] });
-    }
-}
-
-#[allow(unused)]
-fn _suppress(_: PacketId) {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{FlowKind, FlowSpec};
+    use crate::workload::{FlowKind, FlowSpec, Workload};
+    use crate::world::tests::run_plain;
     use domino_phy::units::Dbm;
     use domino_topology::network::{make_node, PhyParams};
     use domino_topology::node::{NodeRole, Position};
@@ -940,7 +698,7 @@ mod tests {
     fn saturated_single_pair_throughput() {
         let net = one_pair();
         let w = Workload::udp_saturated(&[LinkId(0)]);
-        let stats = DcfSim::run(&net, &w, 2.0, 1);
+        let stats = run_plain::<DcfWorld>(&net, &w, 2.0, 1);
         let mbps = stats.aggregate_mbps();
         // 512 B at 12 Mb/s with DIFS + mean backoff + SIFS + ACK
         // overhead lands around 7-8 Mb/s.
@@ -952,8 +710,8 @@ mod tests {
     fn deterministic_per_seed() {
         let net = one_pair();
         let w = Workload::udp_updown(&net, 3e6, 1e6);
-        let a = DcfSim::run(&net, &w, 1.0, 7);
-        let b = DcfSim::run(&net, &w, 1.0, 7);
+        let a = run_plain::<DcfWorld>(&net, &w, 1.0, 7);
+        let b = run_plain::<DcfWorld>(&net, &w, 1.0, 7);
         assert_eq!(a.delivered_bits, b.delivered_bits);
         assert_eq!(a.events, b.events);
     }
@@ -962,7 +720,7 @@ mod tests {
     fn light_load_is_served_fully() {
         let net = one_pair();
         let w = Workload::udp_updown(&net, 1e6, 0.5e6);
-        let stats = DcfSim::run(&net, &w, 2.0, 3);
+        let stats = run_plain::<DcfWorld>(&net, &w, 2.0, 3);
         let down = stats.link_mbps(LinkId(0));
         let up = stats.link_mbps(LinkId(1));
         assert!((down - 1.0).abs() < 0.08, "downlink served: {down}");
@@ -980,7 +738,7 @@ mod tests {
         let l_c2 = net.links().iter().find(|l| !l.is_downlink() && l.ap == domino_topology::NodeId(2)).unwrap().id;
         let l_ap3 = net.links().iter().find(|l| l.is_downlink() && l.sender == domino_topology::NodeId(4)).unwrap().id;
         let w = Workload::udp_saturated(&[l_ap1, l_c2, l_ap3]);
-        let stats = DcfSim::run(&net, &w, 3.0, 5);
+        let stats = run_plain::<DcfWorld>(&net, &w, 3.0, 5);
         let t1 = stats.link_mbps(l_ap1);
         let t3 = stats.link_mbps(l_ap3);
         // AP3's downlink is the hidden-terminal victim: far below AP1.
@@ -994,113 +752,13 @@ mod tests {
         let l_ap1 = LinkId(0);
         let l_c2 = net.links().iter().find(|l| !l.is_downlink() && l.ap == domino_topology::NodeId(2)).unwrap().id;
         let w = Workload::udp_saturated(&[l_ap1, l_c2]);
-        let stats = DcfSim::run(&net, &w, 2.0, 9);
+        let stats = run_plain::<DcfWorld>(&net, &w, 2.0, 9);
         let total = stats.link_mbps(l_ap1) + stats.link_mbps(l_c2);
         // The two links are exposed (could run concurrently at ~8 each)
         // but DCF serializes them: aggregate stays near single-link
         // capacity.
         assert!(total < 10.0, "DCF should serialize exposed links: {total}");
         assert!(total > 5.0, "but they do share the channel: {total}");
-    }
-
-    /// Field-by-field equality of two runs' stats (RunStats holds delay
-    /// meters, so no derived PartialEq).
-    fn assert_stats_eq(a: &RunStats, b: &RunStats) {
-        assert_eq!(a.delivered_bits, b.delivered_bits);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.drops, b.drops);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.ack_timeouts, b.ack_timeouts);
-        assert_eq!(a.tcp_retransmissions, b.tcp_retransmissions);
-        for (da, db) in a.delays.iter().zip(&b.delays) {
-            assert_eq!(da.samples(), db.samples());
-        }
-    }
-
-    #[test]
-    fn checkpoint_and_resume_match_uninterrupted_run() {
-        let net = one_pair();
-        let w = Workload::udp_updown(&net, 3e6, 1e6);
-        let off = FaultConfig::off();
-        let baseline = DcfSim::run(&net, &w, 1.0, 7);
-
-        let mut snaps: Vec<(SimTime, Vec<u8>)> = Vec::new();
-        let boundary = SimTime::from_nanos(500_000_000);
-        let ckpt = DcfSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            7,
-            &off,
-            domino_obs::TraceHandle::off(),
-            &[boundary],
-            &mut |t, bytes| snaps.push((t, bytes)),
-        );
-        // Taking a snapshot mid-run must not perturb the run.
-        assert_stats_eq(&ckpt, &baseline);
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].0, boundary);
-
-        // Restoring into a fresh process-equivalent world and finishing
-        // reproduces the uninterrupted run exactly.
-        let resumed = DcfSim::resume(
-            &net,
-            &w,
-            1.0,
-            7,
-            &off,
-            domino_obs::TraceHandle::off(),
-            &snaps[0].1,
-        )
-        .unwrap();
-        assert_stats_eq(&resumed, &baseline);
-
-        // A payload for a different configuration is rejected, not
-        // silently mis-restored.
-        let other = Workload::udp_updown(&net, 3e6, 0.0);
-        assert!(DcfSim::resume(
-            &net,
-            &other,
-            1.0,
-            7,
-            &off,
-            domino_obs::TraceHandle::off(),
-            &snaps[0].1,
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn checkpoint_resume_under_chaos_and_tcp() {
-        let net = one_pair();
-        let w = Workload::tcp_updown(&net, 6e6, 0.0);
-        let chaos = FaultConfig::chaos(0.7);
-        let baseline = DcfSim::run_faulted(&net, &w, 1.0, 21, &chaos);
-        let mut snap: Option<Vec<u8>> = None;
-        let boundary = SimTime::from_nanos(300_000_000);
-        let ckpt = DcfSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            21,
-            &chaos,
-            domino_obs::TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| snap = Some(bytes),
-        );
-        assert_stats_eq(&ckpt, &baseline);
-        let resumed = DcfSim::resume(
-            &net,
-            &w,
-            1.0,
-            21,
-            &chaos,
-            domino_obs::TraceHandle::off(),
-            &snap.unwrap(),
-        )
-        .unwrap();
-        assert_stats_eq(&resumed, &baseline);
-        assert_eq!(resumed.faults.injections(), baseline.faults.injections());
     }
 
     #[test]
@@ -1113,7 +771,7 @@ mod tests {
             }],
             packet_bytes: 512,
         };
-        let stats = DcfSim::run(&net, &w, 2.0, 11);
+        let stats = run_plain::<DcfWorld>(&net, &w, 2.0, 11);
         let mbps = stats.link_mbps(LinkId(0));
         assert!(mbps > 3.0, "TCP over clean DCF: {mbps} Mb/s");
     }

@@ -24,24 +24,23 @@
 //! * watchdog self-start: the very first batch (and any fully broken
 //!   chain) starts by the APs individually, then heals.
 
-use crate::flows::{FlowEngine, TCP_TICK};
+use crate::flows::{Fired, TrafficEv};
 use crate::timing::{
     fake_airtime, poll_airtime, rop_slot_duration, slot_geometry, SlotGeometry, ACK_BYTES,
     MAC_OVERHEAD_BYTES, POLL_BYTES, ROP_SYMBOL, SIFS, SLOT_TIME,
 };
-use crate::workload::{client_indices, DominoCounters, RunStats, Workload, WATCHDOG_STORM_THRESHOLD};
-use domino_faults::{FaultConfig, FaultPlane, NodeFaults};
-use domino_medium::{Burst, BurstMarker, Frame, FrameBody, InlineVec, Medium, Reception, TxId};
-use domino_obs::{CostPath, FaultKind, ProfHandle, TraceEvent, TraceHandle};
+use crate::workload::{DominoCounters, WATCHDOG_STORM_THRESHOLD};
+use crate::world::{Core, Setup, World};
+use domino_medium::{Burst, BurstMarker, Frame, FrameBody, InlineVec, Reception, TxId};
+use domino_obs::{CostPath, FaultKind, TraceEvent, TraceHandle};
 use domino_scheduler::{
     BacklogView, BurstAssignment, ConversionOutcome, Converter, ConverterConfig, RandScheduler,
     RelativeBatch,
 };
-use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimDuration, SimTime};
-use domino_topology::{ConflictGraph, Direction, LinkId, Network, NodeId};
+use domino_sim::{SimDuration, SimTime};
+use domino_topology::{ConflictGraph, Direction, LinkId, NodeId};
 use domino_traffic::{Packet, PacketKind};
 use domino_wired::{Backbone, WiredLatency};
 use std::collections::VecDeque;
@@ -120,9 +119,9 @@ struct ApAction {
 /// action: `(slot, own burst, client burst)`.
 type RetainedUpdate = (u64, Option<Burst>, Option<Burst>);
 
-/// Wired message to one AP.
+/// Wired message to one AP: its slice of a converted batch.
 #[derive(Debug)]
-struct ApMessage {
+pub struct ApMessage {
     first_slot: u64,
     actions: Vec<ApAction>,
     /// Replacement burst info for already-delivered retained-slot
@@ -132,32 +131,87 @@ struct ApMessage {
 
 /// DOMINO scheme events.
 #[derive(Debug)]
-enum DEv {
-    UdpArrival { flow: usize },
-    TcpTick { flow: usize },
-    TcpRto { flow: usize, gen: u64 },
-    TxEnd { tx: TxId },
+pub enum DEv {
+    /// A shared traffic event.
+    Traffic(TrafficEv),
+    /// A transmission leaves the air.
+    TxEnd {
+        /// Medium handle.
+        tx: TxId,
+    },
     /// Wired delivery of a batch program to an AP.
-    BatchArrive { ap: u32, msg: ApMessage },
+    BatchArrive {
+        /// Destination AP.
+        ap: u32,
+        /// The AP's program.
+        msg: ApMessage,
+    },
     /// Wired delivery of a queue report to the controller.
-    ReportArrive { link: u32, queue: u32 },
+    ReportArrive {
+        /// Reported uplink.
+        link: u32,
+        /// Reported queue length.
+        queue: u32,
+    },
     /// Controller computes and dispatches the next batch (stale
     /// generations are ignored).
-    ControllerCompute { gen: u64 },
+    ControllerCompute {
+        /// Staleness guard.
+        gen: u64,
+    },
     /// A triggered node's slot begins.
-    SlotStart { node: u32, gen: u64, slot: u64 },
+    SlotStart {
+        /// Triggered node.
+        node: u32,
+        /// Staleness guard.
+        gen: u64,
+        /// Slot id.
+        slot: u64,
+    },
     /// A node's scheduled burst goes on the air.
-    SendBurst { node: u32, burst: Burst },
+    SendBurst {
+        /// Broadcasting node.
+        node: u32,
+        /// The signature burst.
+        burst: Burst,
+    },
     /// A receiver's ACK is due.
-    SendAck { rx: u32, packet: Packet, client_burst: Option<Burst> },
+    SendAck {
+        /// Acknowledging node.
+        rx: u32,
+        /// The packet being acknowledged.
+        packet: Packet,
+        /// Burst instruction embedded in the ACK.
+        client_burst: Option<Burst>,
+    },
     /// A sender checks whether its data was ACKed.
-    AckCheck { node: u32, gen: u64 },
+    AckCheck {
+        /// Sending node.
+        node: u32,
+        /// Staleness guard.
+        gen: u64,
+    },
     /// A client answers a poll with its share of the ROP symbol.
-    RopAnswer { client: u32, ap: u32 },
+    RopAnswer {
+        /// Answering client.
+        client: u32,
+        /// Polling AP.
+        ap: u32,
+    },
     /// An AP with pending work got no trigger for too long.
-    Watchdog { ap: u32, gen: u64 },
+    Watchdog {
+        /// Waiting AP.
+        ap: u32,
+        /// Staleness guard.
+        gen: u64,
+    },
     /// An untriggerable entry's estimated slot time arrived.
-    KickOff { ap: u32, slot: u64 },
+    KickOff {
+        /// Starting AP.
+        ap: u32,
+        /// Slot id.
+        slot: u64,
+    },
     /// The acting controller's heartbeat timer (warm-standby plane; the
     /// timer always reschedules itself, a dead controller just emits
     /// nothing).
@@ -168,14 +222,23 @@ enum DEv {
     /// A heartbeat reaches the standby.
     HeartbeatArrive,
     /// A state checkpoint reaches the standby.
-    CkptArrive { state: Vec<u8> },
+    CkptArrive {
+        /// The serialized controller image.
+        state: Vec<u8>,
+    },
     /// The ROP relay's copy of a queue report reaches the standby.
-    StandbyReport { link: u32, queue: u32 },
+    StandbyReport {
+        /// Reported uplink.
+        link: u32,
+        /// Reported queue length.
+        queue: u32,
+    },
     /// The standby's deterministic failure detector ticks.
     StandbyProbe,
 }
 
 /// Per-node runtime state.
+#[derive(Debug)]
 struct NodeRt {
     /// AP program (empty for clients).
     program: VecDeque<ApAction>,
@@ -297,21 +360,18 @@ impl SnapValue for NodeRt {
     }
 }
 
+impl From<TrafficEv> for DEv {
+    fn from(ev: TrafficEv) -> Self {
+        DEv::Traffic(ev)
+    }
+}
+
 impl SnapValue for DEv {
     fn put(&self, w: &mut SnapWriter) {
         match self {
-            DEv::UdpArrival { flow } => {
+            DEv::Traffic(ev) => {
                 w.put_u8(0);
-                flow.put(w);
-            }
-            DEv::TcpTick { flow } => {
-                w.put_u8(1);
-                flow.put(w);
-            }
-            DEv::TcpRto { flow, gen } => {
-                w.put_u8(2);
-                flow.put(w);
-                w.put_u64(*gen);
+                ev.put(w);
             }
             DEv::TxEnd { tx } => {
                 w.put_u8(3);
@@ -386,9 +446,7 @@ impl SnapValue for DEv {
 
     fn thaw(r: &mut SnapReader<'_>) -> Result<DEv, SnapError> {
         Ok(match r.get_u8()? {
-            0 => DEv::UdpArrival { flow: SnapValue::thaw(r)? },
-            1 => DEv::TcpTick { flow: SnapValue::thaw(r)? },
-            2 => DEv::TcpRto { flow: SnapValue::thaw(r)?, gen: r.get_u64()? },
+            0 => DEv::Traffic(SnapValue::thaw(r)?),
             3 => DEv::TxEnd { tx: SnapValue::thaw(r)? },
             4 => DEv::BatchArrive { ap: r.get_u32()?, msg: SnapValue::thaw(r)? },
             5 => DEv::ReportArrive { link: r.get_u32()?, queue: r.get_u32()? },
@@ -415,178 +473,22 @@ impl SnapValue for DEv {
     }
 }
 
-/// The DOMINO engine.
+/// The complete state of a DOMINO run between events. Under a fault
+/// plane: backbone loss/spikes under the batch programs and ROP relays,
+/// AP crashes with state loss, controller compute stalls that overrun the
+/// batch fallback timer, stale ROP reports, controller crashes (warm
+/// standby or cold restart), plus the medium-resident fade and churn
+/// classes.
 #[derive(Debug)]
-pub struct DominoSim;
-
-impl DominoSim {
-    /// Run `workload` over `net` for `duration_s` seconds with default
-    /// parameters.
-    pub fn run(net: &Network, workload: &Workload, duration_s: f64, seed: u64) -> RunStats {
-        Self::run_with(net, workload, duration_s, seed, DominoConfig::default())
-    }
-
-    /// Run with explicit DOMINO parameters.
-    pub fn run_with(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-    ) -> RunStats {
-        Self::run_faulted(net, workload, duration_s, seed, cfg, &FaultConfig::off())
-    }
-
-    /// [`DominoSim::run_with`] under a fault plane: backbone loss/spikes
-    /// under the batch programs and ROP relays, AP crashes with state
-    /// loss, controller compute stalls that overrun the batch fallback
-    /// timer, stale ROP reports, plus the medium-resident fade and churn
-    /// classes. With `faults` all off this is byte-identical to the plain
-    /// run.
-    pub fn run_faulted(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-    ) -> RunStats {
-        Self::run_traced(net, workload, duration_s, seed, cfg, faults, TraceHandle::off())
-    }
-
-    /// [`DominoSim::run_faulted`] with a trace sink attached. Tracing is
-    /// observation only — it draws no randomness and schedules no events,
-    /// so a run with the handle off is byte-identical to one that never
-    /// attached a tracer.
-    pub fn run_traced(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> RunStats {
-        Self::run_ckpt(net, workload, duration_s, seed, cfg, faults, tracer, &[], &mut |_, _| {})
-    }
-
-    /// [`DominoSim::run_traced`] with a cost profiler attached. Profiling
-    /// is observation only, exactly like tracing: it draws no randomness,
-    /// schedules no events, and allocates nothing on the hot path, so a
-    /// run with the handle off is byte-identical to a profiled one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_profiled(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: ProfHandle,
-    ) -> RunStats {
-        Self::run_core(
-            net, workload, duration_s, seed, cfg, faults, tracer, prof, &[], &mut |_, _| {},
-        )
-    }
-
-    /// [`DominoSim::run_traced`] with snapshot boundaries; see
-    /// [`crate::DcfSim::run_ckpt`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_ckpt(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        Self::run_core(
-            net,
-            workload,
-            duration_s,
-            seed,
-            cfg,
-            faults,
-            tracer,
-            ProfHandle::off(),
-            boundaries,
-            sink,
-        )
-    }
-
-    /// The innermost entry: every public run path funnels here.
-    #[allow(clippy::too_many_arguments)]
-    fn run_core(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: ProfHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        let mut world = World::new(net, workload, duration_s, seed, cfg, faults, tracer, prof);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        for &b in boundaries.iter().filter(|&&b| b <= horizon) {
-            if b > SimTime::ZERO && !world.drive(b - SimDuration::from_nanos(1)) {
-                return world.finalize();
-            }
-            let mut w = SnapWriter::new();
-            world.snapshot_save(&mut w);
-            sink(b, w.into_bytes());
-        }
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// Rebuild a run from a [`DominoSim::run_ckpt`] payload and run it to
-    /// completion; see [`crate::DcfSim::resume`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        payload: &[u8],
-    ) -> Result<RunStats, SnapError> {
-        // Profiling state is never part of a snapshot: a restored run
-        // counts from zero.
-        let mut world =
-            World::new(net, workload, duration_s, seed, cfg, faults, tracer, ProfHandle::off());
-        let mut r = SnapReader::new(payload);
-        world.snapshot_restore(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError::Corrupt("trailing snapshot bytes"));
-        }
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        Ok(world.finalize())
-    }
-}
-
-struct World {
-    net: Network,
+pub struct DominoWorld {
+    core: Core<DEv>,
     cfg: DominoConfig,
-    engine: Engine<DEv>,
-    medium: Medium,
-    fe: FlowEngine,
     backbone: Backbone,
     graph: ConflictGraph,
     scheduler: RandScheduler,
     converter: Converter,
     backlog: BacklogView,
     nodes: Vec<NodeRt>,
-    rto_gen: Vec<u64>,
     geo: SlotGeometry,
     rop_dur: SimDuration,
     next_slot_id: u64,
@@ -605,9 +507,6 @@ struct World {
     /// report wave is the execution-anchored clock that paces the next
     /// compute.
     post_poll_exec: SimDuration,
-    /// Node-class fault source (AP crashes, compute stalls, stale
-    /// reports). All draws short-circuit when the class is off.
-    node_faults: NodeFaults,
     /// Until when each crashed AP stays dark (ignores batch programs and
     /// triggers).
     ap_dark_until: Vec<SimTime>,
@@ -619,11 +518,6 @@ struct World {
     /// Consecutive watchdog restarts with zero deliveries in between
     /// (storm detection, see `DominoCounters::watchdog_storms`).
     wd_streak: u64,
-    /// Observation-only trace sink (off by default).
-    tracer: TraceHandle,
-    /// Observation-only cost profiler (off by default; excluded from
-    /// snapshots — a restored run profiles from zero).
-    prof: ProfHandle,
     /// Monotone batch id for BatchBegin/BatchEnd trace pairing.
     batch_seq: u64,
     // ---- warm-standby control plane (inert unless `faults.standby`) ----
@@ -676,31 +570,19 @@ struct World {
     retained_pool: Vec<Vec<RetainedUpdate>>,
 }
 
-impl World {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: ProfHandle,
-    ) -> World {
-        let geo = slot_geometry(net.phy().data_rate, workload.packet_bytes);
+impl World for DominoWorld {
+    type Ev = DEv;
+    type Config = DominoConfig;
+
+    fn build(setup: &Setup<'_>, cfg: DominoConfig, tracer: TraceHandle) -> DominoWorld {
+        let mut core = Core::new(setup, tracer);
+        let (net, faults, seed) = (setup.net, setup.faults, setup.seed);
+        let geo = slot_geometry(net.phy().data_rate, setup.workload.packet_bytes);
         let rop_dur = rop_slot_duration(net.phy().data_rate);
-        let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
-        let mut medium = Medium::new(net.clone(), seed);
-        if plane.cfg.enabled() {
-            medium.set_faults(plane.medium);
-        }
-        medium.set_tracer(tracer.clone());
-        medium.set_profiler(prof.clone());
         let mut backbone = Backbone::new(cfg.wired.clone(), seed);
         backbone.set_loss(faults.wired_loss);
         backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        backbone.set_tracer(tracer.clone());
+        backbone.set_tracer(core.tracer.clone());
         let mut standby_bb = Backbone::on_streams(
             cfg.wired.clone(),
             seed,
@@ -709,17 +591,7 @@ impl World {
         );
         standby_bb.set_loss(faults.wired_loss);
         standby_bb.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        let mut engine = Engine::new();
-        engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_tracer(tracer.clone());
-        engine.set_profiler(prof.clone());
-        let fe = FlowEngine::new(net, workload, duration_s);
-        for flow in fe.udp_flows() {
-            engine.schedule_at(fe.udp_next_arrival(flow), DEv::UdpArrival { flow });
-        }
-        for flow in fe.tcp_flows() {
-            engine.schedule_at(SimTime::ZERO + TCP_TICK, DEv::TcpTick { flow });
-        }
+        let engine = &mut core.engine;
         engine.schedule_at(SimTime::ZERO, DEv::ControllerCompute { gen: 0 });
         let hb_every = SimDuration::from_secs_f64(faults.standby_heartbeat_us * 1e-6);
         let ckpt_every = SimDuration::from_secs_f64(faults.standby_checkpoint_us * 1e-6);
@@ -746,22 +618,18 @@ impl World {
             })
             .collect();
         let signature_of = net.nodes().iter().map(|n| n.signature as u32).collect();
-        let num_flows = workload.flows.len();
         let ap_list = net.aps();
         let clients = (0..net.num_nodes())
             .map(|n| net.clients_of(NodeId(n as u32)))
             .collect();
-        World {
-            engine,
-            medium,
-            fe,
+        DominoWorld {
+            core,
             backbone,
             graph: ConflictGraph::build(net),
             scheduler: RandScheduler::new(net.links().len()),
             converter: Converter::new(cfg.converter.clone()),
             backlog: BacklogView::new(net.links().len()),
             nodes,
-            rto_gen: vec![0; num_flows],
             geo,
             rop_dur,
             next_slot_id: 0,
@@ -772,13 +640,10 @@ impl World {
             dispatch_time: SimTime::ZERO,
             exec_estimate: SimDuration::ZERO,
             post_poll_exec: SimDuration::ZERO,
-            node_faults: plane.node,
             ap_dark_until: vec![SimTime::ZERO; net.num_nodes()],
             ap_crashed: vec![false; net.num_nodes()],
             last_rop: vec![0; net.links().len()],
             wd_streak: 0,
-            tracer,
-            prof,
             batch_seq: 0,
             standby_on: faults.standby,
             standby_bb,
@@ -802,76 +667,71 @@ impl World {
             outcome_buf: ConversionOutcome::default(),
             action_pool: Vec::new(),
             retained_pool: Vec::new(),
-            net: net.clone(),
             cfg,
         }
     }
 
-    /// Run every event up to and including `horizon`. Returns false on a
-    /// livelock abort (the caller should finalize immediately).
-    fn drive(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.engine.pop_until_checked(horizon) {
-                Ok(Some((now, ev))) => self.handle(now, ev),
-                Ok(None) => return true,
-                Err(_livelock) => {
-                    self.fe.stats.faults.livelocks += 1;
-                    return false;
-                }
-            }
+    fn core(&mut self) -> &mut Core<DEv> {
+        &mut self.core
+    }
+
+    /// Exhaustive on purpose: a new `DEv` variant must pick its bucket,
+    /// which keeps the profiler's event attribution at 100%.
+    fn cost_class(ev: &DEv) -> CostPath {
+        match ev {
+            DEv::Traffic(_) => CostPath::EvTraffic,
+            DEv::TxEnd { .. } => CostPath::EvMedium,
+            DEv::BatchArrive { .. }
+            | DEv::ReportArrive { .. }
+            | DEv::ControllerCompute { .. } => CostPath::EvController,
+            DEv::SlotStart { .. }
+            | DEv::SendBurst { .. }
+            | DEv::SendAck { .. }
+            | DEv::AckCheck { .. }
+            | DEv::Watchdog { .. }
+            | DEv::KickOff { .. } => CostPath::EvSlot,
+            DEv::RopAnswer { .. } => CostPath::EvRop,
+            DEv::CtrlHeartbeat
+            | DEv::CtrlCheckpoint
+            | DEv::HeartbeatArrive
+            | DEv::CkptArrive { .. }
+            | DEv::StandbyReport { .. }
+            | DEv::StandbyProbe => CostPath::EvStandby,
         }
     }
 
-    fn finalize(mut self) -> RunStats {
-        // End-of-run profile flush: timer-wheel op counts and the raw
-        // draw totals of every live RNG stream. These accessors read
-        // plain counters — no draws, no allocation, no behavior change —
-        // and `add` is a no-op when the handle is off.
-        self.engine.profile_wheel();
-        self.prof.add(CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.prof.add(
+    fn handle(&mut self, now: SimTime, ev: DEv) {
+        self.on_event(now, ev);
+    }
+
+    fn finish(self) -> Core<DEv> {
+        let mut core = self.core;
+        core.prof.add(
             CostPath::RngWired,
             self.backbone.rng_draws() + self.standby_bb.rng_draws(),
         );
-        self.prof.add(
-            CostPath::RngFaults,
-            self.node_faults.rng_draws()
-                + self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
-        );
-        self.fe.stats.events = self.engine.events_processed();
-        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
-        self.fe.stats.domino = self.counters;
-        self.fe.stats.faults.merge_node(&self.node_faults);
-        self.fe.stats.faults.merge_backbone(
-            self.backbone.messages_lost(),
-            self.backbone.spikes_injected(),
-        );
-        self.fe.stats.faults.merge_backbone(
-            self.standby_bb.messages_lost(),
-            self.standby_bb.spikes_injected(),
-        );
-        if let Some(mf) = self.medium.faults() {
-            self.fe.stats.faults.merge_medium(mf);
-        }
-        self.fe.stats
+        let stats = &mut core.fe.stats;
+        stats.domino = self.counters;
+        stats
+            .faults
+            .merge_backbone(self.backbone.messages_lost(), self.backbone.spikes_injected());
+        stats
+            .faults
+            .merge_backbone(self.standby_bb.messages_lost(), self.standby_bb.spikes_injected());
+        core
     }
 
-    /// Serialize everything the run's future depends on. Scratch storage
-    /// (`rx_buf`, the controller's compute buffers, the dispatch pools)
-    /// is empty between events and rebuilt on demand, so it is
-    /// deliberately not part of the image.
-    fn snapshot_save(&mut self, w: &mut SnapWriter) {
-        self.engine.snapshot_save(w);
-        self.medium.snapshot_save(w);
-        self.fe.snapshot_save(w);
+    /// Serialize everything the run's future depends on beyond the core.
+    /// Scratch storage (`rx_buf`, the controller's compute buffers, the
+    /// dispatch pools) is empty between events and rebuilt on demand, so
+    /// it is deliberately not part of the image.
+    fn save(&self, w: &mut SnapWriter) {
         self.backbone.save(w);
         self.standby_bb.save(w);
         self.scheduler.save(w);
         self.converter.save(w);
         self.backlog.save(w);
-        self.node_faults.save(w);
         self.nodes.put(w);
-        self.rto_gen.put(w);
         w.put_u64(self.next_slot_id);
         self.counters.put(w);
         w.put_u64(self.compute_gen);
@@ -893,26 +753,17 @@ impl World {
         w.put_u32(self.hb_missed);
     }
 
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine.snapshot_restore(r)?;
-        self.medium.snapshot_restore(r)?;
-        self.fe.snapshot_restore(r)?;
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.backbone.restore(r)?;
         self.standby_bb.restore(r)?;
         self.scheduler.restore(r)?;
         self.converter.restore(r)?;
         self.backlog.restore(r)?;
-        self.node_faults.restore(r)?;
         let nodes: Vec<NodeRt> = SnapValue::thaw(r)?;
         if nodes.len() != self.nodes.len() {
             return Err(SnapError::Corrupt("node table length"));
         }
         self.nodes = nodes;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
-        }
-        self.rto_gen = rto_gen;
         self.next_slot_id = r.get_u64()?;
         self.counters = SnapValue::thaw(r)?;
         self.compute_gen = r.get_u64()?;
@@ -946,7 +797,9 @@ impl World {
         self.hb_missed = r.get_u32()?;
         Ok(())
     }
+}
 
+impl DominoWorld {
     // ---------------------------------------------------- warm standby
 
     /// The acting controller exists and is not mid-restart.
@@ -959,7 +812,7 @@ impl World {
     /// promotes it; without it, a cold restart loses the scheduler,
     /// backlog and converter state and sits out the full downtime.
     fn on_ctrl_crash(&mut self, now: SimTime, downtime: SimDuration) {
-        self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+        self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
             kind: FaultKind::CtrlCrash,
             node: u32::MAX, // the controller is not a radio node
         });
@@ -971,12 +824,12 @@ impl World {
             self.ctrl_down = true;
             return;
         }
-        self.scheduler = RandScheduler::new(self.net.links().len());
-        self.backlog = BacklogView::new(self.net.links().len());
+        self.scheduler = RandScheduler::new(self.core.net.links().len());
+        self.backlog = BacklogView::new(self.core.net.links().len());
         self.converter = Converter::new(self.cfg.converter.clone());
-        self.fe.stats.faults.recovery_ns += downtime.as_nanos();
+        self.core.fe.stats.faults.recovery_ns += downtime.as_nanos();
         self.ctrl_dark_until = now + downtime;
-        self.engine
+        self.core.engine
             .schedule_at(self.ctrl_dark_until, DEv::ControllerCompute { gen: self.compute_gen });
     }
 
@@ -986,8 +839,8 @@ impl World {
     /// been paid.
     fn promote_standby(&mut self, now: SimTime) {
         let replayed = self.standby_buf.len() as u64;
-        self.scheduler = RandScheduler::new(self.net.links().len());
-        self.backlog = BacklogView::new(self.net.links().len());
+        self.scheduler = RandScheduler::new(self.core.net.links().len());
+        self.backlog = BacklogView::new(self.core.net.links().len());
         self.converter = Converter::new(self.cfg.converter.clone());
         if !self.standby_ckpt.is_empty() {
             let mut r = SnapReader::new(&self.standby_ckpt);
@@ -1004,31 +857,31 @@ impl World {
         self.standby_buf.clear();
         let promotion_end = now + REPLAY_COST * replayed;
         let recovery = promotion_end.saturating_since(self.last_crash_at);
-        self.fe.stats.faults.standby_promotions += 1;
-        self.fe.stats.faults.replayed_reports += replayed;
-        self.fe.stats.faults.recovery_ns += recovery.as_nanos();
-        self.tracer
+        self.core.fe.stats.faults.standby_promotions += 1;
+        self.core.fe.stats.faults.replayed_reports += replayed;
+        self.core.fe.stats.faults.recovery_ns += recovery.as_nanos();
+        self.core.tracer
             .emit(now.as_nanos(), move || TraceEvent::StandbyPromote { replayed });
         self.ctrl_down = false;
         self.ctrl_dark_until = promotion_end;
         self.hb_missed = 0;
         self.hb_seen = false;
         self.compute_gen += 1;
-        self.engine
+        self.core.engine
             .schedule_at(promotion_end, DEv::ControllerCompute { gen: self.compute_gen });
     }
 
     // ------------------------------------------------------- controller
 
     fn controller_compute(&mut self, now: SimTime) {
-        self.prof.tick(CostPath::CtrlCompute);
+        self.core.prof.tick(CostPath::CtrlCompute);
         // Downlink queues are known instantly over the wire; uplinks only
         // through ROP reports. All three working buffers are World scratch
         // recycled across computes.
         let mut backlog = std::mem::take(&mut self.backlog_buf);
         backlog.clear();
-        backlog.extend(self.net.links().iter().map(|l| match l.direction {
-            Direction::Downlink => self.fe.queue(l.id).len() as u32,
+        backlog.extend(self.core.net.links().iter().map(|l| match l.direction {
+            Direction::Downlink => self.core.fe.queue(l.id).len() as u32,
             Direction::Uplink => self.backlog.estimate(l.id),
         }));
         let mut before = std::mem::take(&mut self.before_buf);
@@ -1037,7 +890,7 @@ impl World {
         let mut strict = self
             .scheduler
             .schedule_batch(&self.graph, &mut backlog, self.cfg.batch_slots);
-        self.prof.tick(CostPath::CtrlSchedule);
+        self.core.prof.tick(CostPath::CtrlSchedule);
         if strict.is_empty() {
             // Idle heartbeat: fake-only slots keep the trigger chains and
             // the ROP polling alive so new uplink backlog is discovered
@@ -1051,7 +904,7 @@ impl World {
         let mut committed = std::mem::take(&mut self.committed_buf);
         committed.clear();
         committed.extend_from_slice(self.backlog.estimates());
-        for l in self.net.links() {
+        for l in self.core.net.links() {
             if l.direction == Direction::Uplink {
                 let used = before[l.id.index()] - backlog[l.id.index()];
                 committed[l.id.index()] = committed[l.id.index()].saturating_sub(used);
@@ -1069,15 +922,15 @@ impl World {
         };
         let mut outcome = std::mem::take(&mut self.outcome_buf);
         self.converter
-            .convert_into(&self.net, &self.graph, &strict, polling, &mut outcome);
-        self.prof.tick(CostPath::CtrlConvert);
-        self.prof.add_with(CostPath::CtrlSlots, || outcome.batch.slots.len() as u64);
-        self.prof.add_with(CostPath::CtrlActions, || {
+            .convert_into(&self.core.net, &self.graph, &strict, polling, &mut outcome);
+        self.core.prof.tick(CostPath::CtrlConvert);
+        self.core.prof.add_with(CostPath::CtrlSlots, || outcome.batch.slots.len() as u64);
+        self.core.prof.add_with(CostPath::CtrlActions, || {
             outcome.batch.slots.iter().map(|s| s.entries.len() as u64).sum()
         });
         self.scheduler.recycle(strict);
         for l in &outcome.rescheduled {
-            if self.net.link(*l).direction == Direction::Uplink {
+            if self.core.net.link(*l).direction == Direction::Uplink {
                 self.backlog.refund(*l);
             }
             // Downlink refunds are implicit: those packets never left
@@ -1088,7 +941,7 @@ impl World {
         if n_slots == 0 && outcome.batch.connecting_rop.is_none() {
             self.outcome_buf = outcome;
             self.compute_gen += 1;
-            self.engine.schedule_in(
+            self.core.engine.schedule_in(
                 SimDuration::from_millis(1),
                 DEv::ControllerCompute { gen: self.compute_gen },
             );
@@ -1120,10 +973,10 @@ impl World {
         // below is deliberately NOT extended: overrunning it — the next
         // compute firing while the late batch is still in flight — is the
         // injected failure mode.
-        let stall = match self.node_faults.compute_stall() {
+        let stall = match self.core.node_faults.compute_stall() {
             Some(d) => {
                 // The controller is not a radio node; u32::MAX marks it.
-                self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+                self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
                     kind: FaultKind::ComputeStall,
                     node: u32::MAX,
                 });
@@ -1152,7 +1005,7 @@ impl World {
         self.dispatch_time = now;
         self.exec_estimate = exec;
         self.compute_gen += 1;
-        self.engine
+        self.core.engine
             .schedule_in(fallback, DEv::ControllerCompute { gen: self.compute_gen });
         self.outcome_buf = outcome;
     }
@@ -1160,13 +1013,13 @@ impl World {
     /// Turn a converted batch into per-AP wired messages, each delayed by
     /// `stall` (the controller's injected compute stall; zero normally).
     fn dispatch_batch(&mut self, now: SimTime, batch: &RelativeBatch, stall: SimDuration) {
-        self.prof.tick(CostPath::CtrlDispatch);
+        self.core.prof.tick(CostPath::CtrlDispatch);
         let first_slot = self.next_slot_id;
         let retained_slot = first_slot.wrapping_sub(1);
         self.next_slot_id += batch.slots.len() as u64;
         self.batch_seq += 1;
         let batch_id = self.batch_seq;
-        self.tracer.emit(now.as_nanos(), || TraceEvent::BatchBegin {
+        self.core.tracer.emit(now.as_nanos(), || TraceEvent::BatchBegin {
             batch: batch_id,
             first_slot,
             slots: batch.slots.len() as u32,
@@ -1201,7 +1054,7 @@ impl World {
             }
             let buf = &mut sender_bufs[i];
             buf.clear();
-            buf.extend(s.entries.iter().map(|e| self.net.link(e.link).sender));
+            buf.extend(s.entries.iter().map(|e| self.core.net.link(e.link).sender));
         }
         let slot_senders = &sender_bufs[..batch.slots.len()];
 
@@ -1260,7 +1113,7 @@ impl World {
                     BurstMarker::Start
                 };
                 for entry in &slot.entries {
-                    let link = *self.net.link(entry.link);
+                    let link = *self.core.net.link(entry.link);
                     if link.ap != ap {
                         continue;
                     }
@@ -1324,9 +1177,9 @@ impl World {
                 continue;
             }
             if let Some(m) = self.backbone.try_send(now, ()) {
-                self.prof.tick(CostPath::CtrlDispatchMsgs);
+                self.core.prof.tick(CostPath::CtrlDispatchMsgs);
                 let msg = ApMessage { first_slot, actions, retained_updates };
-                self.engine
+                self.core.engine
                     .schedule_at(m.deliver_at + stall, DEv::BatchArrive { ap: ap.0, msg });
             } else {
                 // A lost program is not re-sent: the controller's
@@ -1348,12 +1201,12 @@ impl World {
         if now < self.ap_dark_until[ap] {
             return; // crashed AP: the program dies with it
         }
-        if let Some(downtime) = self.node_faults.crash() {
+        if let Some(downtime) = self.core.node_faults.crash() {
             // Crash with state loss: the program, pending starts, and the
             // unacked frame are gone; generation bumps retire every timer
             // the old incarnation armed. The AP rejoins lazily — the
             // first batch delivered after the downtime restarts it.
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+            self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
                 kind: FaultKind::ApCrash,
                 node: ap as u32,
             });
@@ -1370,8 +1223,8 @@ impl World {
         }
         if self.ap_crashed[ap] {
             self.ap_crashed[ap] = false;
-            self.node_faults.recovered();
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultRecover {
+            self.core.node_faults.recovered();
+            self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultRecover {
                 kind: FaultKind::ApCrash,
                 node: ap as u32,
             });
@@ -1400,7 +1253,7 @@ impl World {
         for a in &actions {
             if a.kick_off {
                 let offset = self.geo.total * a.slot.saturating_sub(first_slot);
-                self.engine
+                self.core.engine
                     .schedule_at(now + offset, DEv::KickOff { ap: ap as u32, slot: a.slot });
             }
         }
@@ -1428,7 +1281,7 @@ impl World {
         match head.kind {
             ApActionKind::RxData { link } => {
                 self.nodes[ap].bump(); // retire stacked watchdogs
-                let client = self.net.link(link).client();
+                let client = self.core.net.link(link).client();
                 let burst = Burst {
                     codes: InlineVec::of(self.signature_of[client.index()]),
                     targets: InlineVec::of(client),
@@ -1452,14 +1305,14 @@ impl World {
         }
         self.nodes[ap].wd_gen += 1;
         let gen = self.nodes[ap].wd_gen;
-        self.engine
+        self.core.engine
             .schedule_at(now + self.cfg.watchdog, DEv::Watchdog { ap: ap as u32, gen });
     }
 
     /// A node detected its own signature in a burst: (re-)anchor its slot
     /// start to this (the last) trigger (§3.4).
     fn on_trigger(&mut self, now: SimTime, node: usize, marker: BurstMarker, slot: u64) {
-        if self.medium.is_transmitting(NodeId(node as u32)) {
+        if self.core.medium.is_transmitting(NodeId(node as u32)) {
             return; // a transmitting radio cannot run its correlator
         }
         if now < self.ap_dark_until[node] {
@@ -1478,7 +1331,7 @@ impl World {
             (BurstMarker::Rop, false) => self.rop_dur + SLOT_TIME,
             (BurstMarker::Start, _) => SLOT_TIME,
         };
-        self.tracer.emit(now.as_nanos(), || TraceEvent::TriggerFire {
+        self.core.tracer.emit(now.as_nanos(), || TraceEvent::TriggerFire {
             node: node as u32,
             slot,
         });
@@ -1490,7 +1343,7 @@ impl World {
     fn schedule_start(&mut self, at: SimTime, node: usize, slot: u64) {
         let gen = self.nodes[node].bump();
         self.nodes[node].pending_start = true;
-        self.engine
+        self.core.engine
             .schedule_at(at, DEv::SlotStart { node: node as u32, gen, slot });
     }
 
@@ -1514,13 +1367,13 @@ impl World {
             return;
         }
         self.nodes[node].pending_start = false;
-        if self.medium.is_transmitting(NodeId(node as u32)) {
+        if self.core.medium.is_transmitting(NodeId(node as u32)) {
             return;
         }
         // The node is now committed to this slot's exchange; its
         // correlator re-arms at the burst phase.
         self.nodes[node].busy_until = now + self.geo.burst_start;
-        if self.net.node(NodeId(node as u32)).is_ap() {
+        if self.core.net.node(NodeId(node as u32)).is_ap() {
             self.ap_execute(now, node, slot);
         } else {
             self.client_transmit(now, node, slot);
@@ -1578,7 +1431,7 @@ impl World {
                 // relay the trigger to the client with a direct burst
                 // (kick-off path; ordinary uplink slots trigger the
                 // client over the air instead).
-                let client = self.net.link(link).client();
+                let client = self.core.net.link(link).client();
                 if now >= self.nodes[client.index()].busy_until {
                     let burst = Burst {
                         codes: InlineVec::of(self.signature_of[client.index()]),
@@ -1611,7 +1464,7 @@ impl World {
     /// A triggered client transmits its uplink head (or a fake header).
     fn client_transmit(&mut self, now: SimTime, client: usize, slot: u64) {
         self.counters.client_transmissions += 1;
-        let uplink = match self
+        let uplink = match self.core
             .net
             .links()
             .iter()
@@ -1624,7 +1477,7 @@ impl World {
         // its next trigger arrives.
         let packet = match self.nodes[client].unacked.take() {
             Some(p) => Some(p),
-            None => self.fe.queue_mut(uplink).pop(),
+            None => self.core.fe.queue_mut(uplink).pop(),
         };
         self.transmit_exchange(now, NodeId(client as u32), uplink, packet, None, slot);
     }
@@ -1646,15 +1499,15 @@ impl World {
             Some(p) => {
                 // Different destination: back to its queue for the
                 // scheduler.
-                let _ = self.fe.queue_mut(p.link).push_front(p);
-                self.fe.queue_mut(link).pop()
+                let _ = self.core.fe.queue_mut(p.link).push_front(p);
+                self.core.fe.queue_mut(link).pop()
             }
-            None => self.fe.queue_mut(link).pop(),
+            None => self.core.fe.queue_mut(link).pop(),
         };
         // The AP's burst goes out at the fixed offset regardless of the
         // exchange outcome (its job is to trigger the next slot).
         if let Some(b) = own_burst {
-            self.engine.schedule_at(
+            self.core.engine.schedule_at(
                 now + self.geo.burst_start,
                 DEv::SendBurst { node: sender.0, burst: b },
             );
@@ -1672,19 +1525,19 @@ impl World {
         client_burst: Option<Burst>,
         slot: u64,
     ) {
-        if self.medium.is_transmitting(sender) {
+        if self.core.medium.is_transmitting(sender) {
             if let Some(p) = packet {
-                let _ = self.fe.queue_mut(link).push_front(p);
+                let _ = self.core.fe.queue_mut(link).push_front(p);
             }
             return;
         }
-        self.fe.stats.slot_starts.push(crate::workload::SlotStartRecord {
+        self.core.fe.stats.slot_starts.push(crate::workload::SlotStartRecord {
             slot,
             start_ns: now.as_nanos(),
             link,
             fake: packet.is_none(),
         });
-        self.tracer.emit(now.as_nanos(), || TraceEvent::SlotStart {
+        self.core.tracer.emit(now.as_nanos(), || TraceEvent::SlotStart {
             slot,
             link: link.0,
             fake: packet.is_none(),
@@ -1694,7 +1547,7 @@ impl World {
                 self.nodes[sender.index()].unacked = Some(p);
                 self.nodes[sender.index()].acked = false;
                 let gen = self.nodes[sender.index()].gen;
-                self.engine.schedule_at(
+                self.core.engine.schedule_at(
                     now + self.geo.ack_start + self.geo.ack_airtime + SLOT_TIME,
                     DEv::AckCheck { node: sender.0, gen },
                 );
@@ -1725,23 +1578,23 @@ impl World {
                     },
                     bits: crate::timing::FAKE_HEADER_BYTES * 8,
                 },
-                fake_airtime(self.net.phy().data_rate) + crate::timing::INSTRUCTION_APPENDIX,
+                fake_airtime(self.core.net.phy().data_rate) + crate::timing::INSTRUCTION_APPENDIX,
             ),
         };
-        let tx = self.medium.begin(now, frame);
-        self.engine.schedule_at(now + airtime, DEv::TxEnd { tx });
+        let tx = self.core.medium.begin(now, frame);
+        self.core.engine.schedule_at(now + airtime, DEv::TxEnd { tx });
     }
 
     fn start_poll(&mut self, now: SimTime, ap: NodeId) {
-        if self.medium.is_transmitting(ap) {
+        if self.core.medium.is_transmitting(ap) {
             return;
         }
-        self.prof.tick(CostPath::RopPoll);
-        self.tracer.emit(now.as_nanos(), || TraceEvent::RopPoll { ap: ap.0 });
+        self.core.prof.tick(CostPath::RopPoll);
+        self.core.tracer.emit(now.as_nanos(), || TraceEvent::RopPoll { ap: ap.0 });
         let frame = Frame { src: ap, body: FrameBody::Poll { ap }, bits: POLL_BYTES * 8 };
-        let tx = self.medium.begin(now, frame);
-        self.engine
-            .schedule_at(now + poll_airtime(self.net.phy().data_rate), DEv::TxEnd { tx });
+        let tx = self.core.medium.begin(now, frame);
+        self.core.engine
+            .schedule_at(now + poll_airtime(self.core.net.phy().data_rate), DEv::TxEnd { tx });
     }
 
     // ------------------------------------------------------- receptions
@@ -1751,15 +1604,15 @@ impl World {
         // here and the storage goes back on `self.rx_buf` below.
         let mut receptions = std::mem::take(&mut self.rx_buf);
         receptions.clear();
-        self.medium.end_into(tx, now, &mut receptions);
+        self.core.medium.end_into(tx, now, &mut receptions);
         for r in &receptions {
             let rx = r.rx.index();
             match &r.frame.body {
                 FrameBody::Data { packet, fake, client_burst } => {
-                    let l = *self.net.link(packet.link);
+                    let l = *self.core.net.link(packet.link);
                     let intended = if l.is_downlink() { l.client() } else { l.ap };
                     if r.rx == intended {
-                        self.tracer.emit(now.as_nanos(), || TraceEvent::SlotEnd {
+                        self.core.tracer.emit(now.as_nanos(), || TraceEvent::SlotEnd {
                             link: packet.link.0,
                             delivered: r.success && !*fake,
                         });
@@ -1768,16 +1621,16 @@ impl World {
                         continue;
                     }
                     if !*fake {
-                        self.fe.deliver(packet, now);
-                        self.sync_all_rto(now);
+                        self.core.fe.deliver(packet, now);
+                        self.core.fe.sync_all_rto(now, &mut self.core.engine);
                         self.wd_streak = 0; // progress: the storm streak ends
                     }
-                    let ap_is_receiver = self.net.node(r.rx).is_ap();
+                    let ap_is_receiver = self.core.net.node(r.rx).is_ap();
                     // How far into the fixed slot the data phase actually
                     // ran (fake headers are short, but the burst offset
                     // never moves).
                     let elapsed = if *fake {
-                        fake_airtime(self.net.phy().data_rate)
+                        fake_airtime(self.core.net.phy().data_rate)
                             + crate::timing::INSTRUCTION_APPENDIX
                     } else {
                         self.geo.data_airtime
@@ -1787,7 +1640,7 @@ impl World {
                     if !ap_is_receiver {
                         if let Some(b) = client_burst {
                             let at = now + (self.geo.burst_start - elapsed);
-                            self.engine
+                            self.core.engine
                                 .schedule_at(at, DEv::SendBurst { node: r.rx.0, burst: *b });
                             if b.continues {
                                 let rop = b.marker == BurstMarker::Rop;
@@ -1810,9 +1663,9 @@ impl World {
                     // fake exchange's header ends early, and an early ACK
                     // would land inside concurrent links' data phases.
                     let must_ack = !*fake || (ap_is_receiver && reply_burst.is_some());
-                    if must_ack && !self.medium.is_transmitting(r.rx) {
+                    if must_ack && !self.core.medium.is_transmitting(r.rx) {
                         let ack_at = now + (self.geo.ack_start - elapsed);
-                        self.engine.schedule_at(
+                        self.core.engine.schedule_at(
                             ack_at,
                             DEv::SendAck { rx: r.rx.0, packet: *packet, client_burst: reply_burst },
                         );
@@ -1822,7 +1675,7 @@ impl World {
                     if !r.success {
                         continue;
                     }
-                    let sender = self.net.link(*link).sender.index();
+                    let sender = self.core.net.link(*link).sender.index();
                     if rx == sender
                         && self.nodes[sender].unacked.is_some_and(|p| p.id == *packet)
                     {
@@ -1832,8 +1685,8 @@ impl World {
                     // Uplink case: the client's instruction rides the
                     // ACK; it bursts one slot later.
                     if let Some(b) = client_burst {
-                        if !self.net.node(r.rx).is_ap() {
-                            self.engine.schedule_at(
+                        if !self.core.net.node(r.rx).is_ap() {
+                            self.core.engine.schedule_at(
                                 now + SLOT_TIME,
                                 DEv::SendBurst { node: r.rx.0, burst: *b },
                             );
@@ -1845,7 +1698,7 @@ impl World {
                                 // short data phase.
                                 let data_elapsed = if *packet == domino_traffic::PacketId(u64::MAX)
                                 {
-                                    fake_airtime(self.net.phy().data_rate)
+                                    fake_airtime(self.core.net.phy().data_rate)
                                         + crate::timing::INSTRUCTION_APPENDIX
                                 } else {
                                     self.geo.data_airtime
@@ -1863,20 +1716,20 @@ impl World {
                     if !r.success {
                         continue;
                     }
-                    self.engine
+                    self.core.engine
                         .schedule_at(now + SLOT_TIME, DEv::RopAnswer { client: r.rx.0, ap: ap.0 });
                 }
                 FrameBody::RopReport { client, ap, queue } => {
                     if !r.success {
                         continue;
                     }
-                    self.prof.tick(CostPath::RopReport);
-                    self.tracer.emit(now.as_nanos(), || TraceEvent::RopReport {
+                    self.core.prof.tick(CostPath::RopReport);
+                    self.core.tracer.emit(now.as_nanos(), || TraceEvent::RopReport {
                         client: client.0,
                         ap: ap.0,
                         queue: *queue,
                     });
-                    let uplink = self
+                    let uplink = self.core
                         .net
                         .links()
                         .iter()
@@ -1884,7 +1737,7 @@ impl World {
                         .map(|l| l.id);
                     if let Some(link) = uplink {
                         if let Some(m) = self.backbone.try_send(now, ()) {
-                            self.engine.schedule_at(
+                            self.core.engine.schedule_at(
                                 m.deliver_at,
                                 DEv::ReportArrive { link: link.0, queue: *queue },
                             );
@@ -1893,7 +1746,7 @@ impl World {
                         // so its post-checkpoint delta stays current.
                         if self.standby_on {
                             if let Some(m) = self.standby_bb.try_send(now, ()) {
-                                self.engine.schedule_at(
+                                self.core.engine.schedule_at(
                                     m.deliver_at,
                                     DEv::StandbyReport { link: link.0, queue: *queue },
                                 );
@@ -1904,16 +1757,16 @@ impl World {
                 FrameBody::SignatureBurst(b) => {
                     if !r.success {
                         self.counters.triggers_failed += 1;
-                        self.prof.tick(CostPath::SigMiss);
-                        self.tracer.emit(now.as_nanos(), || TraceEvent::SigMiss {
+                        self.core.prof.tick(CostPath::SigMiss);
+                        self.core.tracer.emit(now.as_nanos(), || TraceEvent::SigMiss {
                             node: r.rx.0,
                             slot: b.slot,
                         });
                         continue;
                     }
                     self.counters.triggers_detected += 1;
-                    self.prof.tick(CostPath::SigDetect);
-                    self.tracer.emit(now.as_nanos(), || TraceEvent::SigDetect {
+                    self.core.prof.tick(CostPath::SigDetect);
+                    self.core.tracer.emit(now.as_nanos(), || TraceEvent::SigDetect {
                         node: r.rx.0,
                         slot: b.slot,
                     });
@@ -1947,7 +1800,7 @@ impl World {
             // The data phase consumed `elapsed`; the burst sits at the
             // slot's fixed offset.
             let at = now + (self.geo.burst_start - elapsed);
-            self.engine.schedule_at(at, DEv::SendBurst { node: ap as u32, burst: b });
+            self.core.engine.schedule_at(at, DEv::SendBurst { node: ap as u32, burst: b });
         }
         self.maybe_self_trigger(now - elapsed, ap, action.slot);
         action.client_burst
@@ -1962,7 +1815,7 @@ impl World {
         packet: Packet,
         client_burst: Option<Burst>,
     ) {
-        if self.medium.is_transmitting(NodeId(rx as u32)) {
+        if self.core.medium.is_transmitting(NodeId(rx as u32)) {
             return;
         }
         let frame = Frame {
@@ -1970,12 +1823,12 @@ impl World {
             body: FrameBody::MacAck { packet: packet.id, link: packet.link, client_burst },
             bits: ACK_BYTES * 8,
         };
-        let tx = self.medium.begin(now, frame);
-        self.engine.schedule_at(now + self.geo.ack_airtime, DEv::TxEnd { tx });
+        let tx = self.core.medium.begin(now, frame);
+        self.core.engine.schedule_at(now + self.geo.ack_airtime, DEv::TxEnd { tx });
     }
 
     fn on_send_burst(&mut self, now: SimTime, node: usize, burst: Burst) {
-        if burst.targets.is_empty() || self.medium.is_transmitting(NodeId(node as u32)) {
+        if burst.targets.is_empty() || self.core.medium.is_transmitting(NodeId(node as u32)) {
             return;
         }
         let frame = Frame {
@@ -1984,8 +1837,8 @@ impl World {
             bits: 0,
         };
         self.counters.bursts_sent += 1;
-        self.prof.tick(CostPath::SigEmit);
-        self.prof.add_with(CostPath::SigTargets, || {
+        self.core.prof.tick(CostPath::SigEmit);
+        self.core.prof.add_with(CostPath::SigTargets, || {
             if let FrameBody::SignatureBurst(b) = &frame.body {
                 b.targets.len() as u64
             } else {
@@ -1993,14 +1846,14 @@ impl World {
             }
         });
         if let FrameBody::SignatureBurst(b) = &frame.body {
-            self.tracer.emit(now.as_nanos(), || TraceEvent::SigEmit {
+            self.core.tracer.emit(now.as_nanos(), || TraceEvent::SigEmit {
                 node: node as u32,
                 slot: b.slot,
                 targets: b.targets.iter().map(|t| t.0).collect(),
             });
         }
-        let tx = self.medium.begin(now, frame);
-        self.engine
+        let tx = self.core.medium.begin(now, frame);
+        self.core.engine
             .schedule_at(now + crate::timing::BURST_DURATION, DEv::TxEnd { tx });
     }
 
@@ -2011,16 +1864,16 @@ impl World {
         }
         if self.nodes[node].unacked.is_some() {
             // Kept for the §3.5 retransmission paths; count the miss.
-            self.fe.stats.ack_timeouts += 1;
-            self.fe.stats.retries += 1;
+            self.core.fe.stats.ack_timeouts += 1;
+            self.core.fe.stats.retries += 1;
         }
     }
 
     fn on_rop_answer(&mut self, now: SimTime, client: usize, ap: usize) {
-        if self.medium.is_transmitting(NodeId(client as u32)) {
+        if self.core.medium.is_transmitting(NodeId(client as u32)) {
             return;
         }
-        let uplink = self
+        let uplink = self.core
             .net
             .links()
             .iter()
@@ -2028,12 +1881,12 @@ impl World {
             .map(|l| l.id);
         let Some(link) = uplink else { return };
         let fresh =
-            self.fe.queue(link).rop_report() + u32::from(self.nodes[client].unacked.is_some());
+            self.core.fe.queue(link).rop_report() + u32::from(self.nodes[client].unacked.is_some());
         // Stale-report fault: the client replays the previous round's
         // value instead of the live queue state.
-        let stale = self.node_faults.report_stale();
+        let stale = self.core.node_faults.report_stale();
         if stale {
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+            self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
                 kind: FaultKind::StaleRop,
                 node: client as u32,
             });
@@ -2049,8 +1902,8 @@ impl World {
             },
             bits: 0,
         };
-        let tx = self.medium.begin(now, frame);
-        self.engine.schedule_at(now + ROP_SYMBOL, DEv::TxEnd { tx });
+        let tx = self.core.medium.begin(now, frame);
+        self.core.engine.schedule_at(now + ROP_SYMBOL, DEv::TxEnd { tx });
     }
 
     fn on_watchdog(&mut self, now: SimTime, ap: usize, gen: u64) {
@@ -2064,9 +1917,9 @@ impl World {
         // Never restart into an active channel: the "stall" may be an
         // exchange we are part of (e.g. the uplink data we are waiting
         // for is in flight right now — a burst would deafen us to it).
-        if self.medium.is_busy(NodeId(ap as u32)) {
+        if self.core.medium.is_busy(NodeId(ap as u32)) {
             let gen = self.nodes[ap].wd_gen;
-            self.engine.schedule_at(
+            self.core.engine.schedule_at(
                 now + SimDuration::from_micros(200),
                 DEv::Watchdog { ap: ap as u32, gen },
             );
@@ -2112,8 +1965,8 @@ impl World {
         if head.slot > slot {
             return; // already past it
         }
-        if self.medium.is_busy(NodeId(ap as u32)) {
-            self.engine.schedule_at(
+        if self.core.medium.is_busy(NodeId(ap as u32)) {
+            self.core.engine.schedule_at(
                 now + SimDuration::from_micros(100),
                 DEv::KickOff { ap: ap as u32, slot },
             );
@@ -2122,7 +1975,7 @@ impl World {
         self.counters.kick_offs += 1;
         match head.kind {
             ApActionKind::RxData { link } if head.slot == slot => {
-                let client = self.net.link(link).client();
+                let client = self.core.net.link(link).client();
                 let burst = Burst {
                     codes: InlineVec::of(self.signature_of[client.index()]),
                     targets: InlineVec::of(client),
@@ -2136,63 +1989,13 @@ impl World {
         }
     }
 
-    // ---------------------------------------------------------- traffic
-
-    fn sync_all_rto(&mut self, now: SimTime) {
-        for flow in self.fe.tcp_flows() {
-            self.rto_gen[flow] += 1;
-            if let Some(deadline) = self.fe.tcp_rto_deadline(flow) {
-                self.engine
-                    .schedule_at(deadline.max(now), DEv::TcpRto { flow, gen: self.rto_gen[flow] });
-            }
-        }
-    }
-
-    /// Cost-attribution class of one event (see `domino_obs::CostPath`).
-    /// Exhaustive on purpose: a new `DEv` variant must pick its bucket,
-    /// which keeps the profiler's event attribution at 100%.
-    fn classify(ev: &DEv) -> CostPath {
+    fn on_event(&mut self, now: SimTime, ev: DEv) {
         match ev {
-            DEv::UdpArrival { .. } | DEv::TcpTick { .. } | DEv::TcpRto { .. } => {
-                CostPath::EvTraffic
-            }
-            DEv::TxEnd { .. } => CostPath::EvMedium,
-            DEv::BatchArrive { .. }
-            | DEv::ReportArrive { .. }
-            | DEv::ControllerCompute { .. } => CostPath::EvController,
-            DEv::SlotStart { .. }
-            | DEv::SendBurst { .. }
-            | DEv::SendAck { .. }
-            | DEv::AckCheck { .. }
-            | DEv::Watchdog { .. }
-            | DEv::KickOff { .. } => CostPath::EvSlot,
-            DEv::RopAnswer { .. } => CostPath::EvRop,
-            DEv::CtrlHeartbeat
-            | DEv::CtrlCheckpoint
-            | DEv::HeartbeatArrive
-            | DEv::CkptArrive { .. }
-            | DEv::StandbyReport { .. }
-            | DEv::StandbyProbe => CostPath::EvStandby,
-        }
-    }
-
-    fn handle(&mut self, now: SimTime, ev: DEv) {
-        self.prof.tick(Self::classify(&ev));
-        match ev {
-            DEv::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine
-                    .schedule_at(self.fe.udp_next_arrival(flow), DEv::UdpArrival { flow });
-            }
-            DEv::TcpTick { flow } => {
-                self.fe.tcp_tick(flow, now);
-                self.engine.schedule_in(TCP_TICK, DEv::TcpTick { flow });
-                self.sync_all_rto(now);
-            }
-            DEv::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] == gen {
-                    self.fe.tcp_timer(flow, now);
-                    self.sync_all_rto(now);
+            DEv::Traffic(ev) => {
+                // DOMINO re-arms every flow's RTO on any TCP progress.
+                let c = &mut self.core;
+                if let Some(Fired::Tcp(_)) = c.fe.on_event(ev, now, &mut c.engine) {
+                    c.fe.sync_all_rto(now, &mut c.engine);
                 }
             }
             DEv::TxEnd { tx } => self.on_tx_end(now, tx),
@@ -2211,14 +2014,14 @@ impl World {
                 if self.awaiting_report && batch_age >= SimDuration::from_micros(400) {
                     self.awaiting_report = false;
                     let batch_id = self.batch_seq;
-                    self.tracer
+                    self.core.tracer
                         .emit(now.as_nanos(), move || TraceEvent::BatchEnd { batch: batch_id });
                     let lead = SimDuration::from_micros_f64(self.cfg.wired.mean_us)
                         + self.geo.total;
                     let at = (now + self.post_poll_exec.saturating_sub(lead))
                         .max(now + SimDuration::from_micros(150));
                     self.compute_gen += 1;
-                    self.engine
+                    self.core.engine
                         .schedule_at(at, DEv::ControllerCompute { gen: self.compute_gen });
                 }
             }
@@ -2226,7 +2029,7 @@ impl World {
                 if gen == self.compute_gen && self.ctrl_alive(now) {
                     // The crash draw sits at the accept site so the class
                     // costs zero RNG draws when it is off.
-                    if let Some(downtime) = self.node_faults.ctrl_crash() {
+                    if let Some(downtime) = self.core.node_faults.ctrl_crash() {
                         self.on_ctrl_crash(now, downtime);
                     } else {
                         self.controller_compute(now);
@@ -2251,10 +2054,10 @@ impl World {
                 // emits nothing until its successor takes over.
                 if self.ctrl_alive(now) {
                     if let Some(m) = self.standby_bb.try_send(now, ()) {
-                        self.engine.schedule_at(m.deliver_at, DEv::HeartbeatArrive);
+                        self.core.engine.schedule_at(m.deliver_at, DEv::HeartbeatArrive);
                     }
                 }
-                self.engine.schedule_at(now + self.hb_every, DEv::CtrlHeartbeat);
+                self.core.engine.schedule_at(now + self.hb_every, DEv::CtrlHeartbeat);
             }
             DEv::CtrlCheckpoint => {
                 if self.ctrl_alive(now) {
@@ -2264,15 +2067,15 @@ impl World {
                     self.converter.save(&mut w);
                     let state = w.into_bytes();
                     let len = state.len() as u32;
-                    self.tracer
+                    self.core.tracer
                         .emit(now.as_nanos(), move || TraceEvent::CtrlCheckpoint { bytes: len });
                     if let Some(m) = self.standby_bb.try_send(now, ()) {
-                        self.engine.schedule_at(m.deliver_at, DEv::CkptArrive { state });
+                        self.core.engine.schedule_at(m.deliver_at, DEv::CkptArrive { state });
                     }
                     // A lost checkpoint is not re-sent: the next period's
                     // image supersedes it anyway.
                 }
-                self.engine.schedule_at(now + self.ckpt_every, DEv::CtrlCheckpoint);
+                self.core.engine.schedule_at(now + self.ckpt_every, DEv::CtrlCheckpoint);
             }
             DEv::HeartbeatArrive => self.hb_seen = true,
             DEv::CkptArrive { state } => {
@@ -2295,7 +2098,7 @@ impl World {
                 if self.ctrl_down && self.hb_missed >= self.missed_k {
                     self.promote_standby(now);
                 }
-                self.engine.schedule_at(now + self.hb_every, DEv::StandbyProbe);
+                self.core.engine.schedule_at(now + self.hb_every, DEv::StandbyProbe);
             }
         }
     }
@@ -2304,8 +2107,12 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcf::DcfSim;
-    use crate::omniscient::OmniscientSim;
+    use crate::dcf::DcfWorld;
+    use crate::omniscient::OmniWorld;
+    use crate::world::tests::{run_faulted, run_plain};
+    use crate::Workload;
+    use domino_faults::FaultConfig;
+    use domino_topology::Network;
     use domino_topology::presets::{fig1, fig7};
     use domino_topology::{NodeId, PhyParams};
 
@@ -2332,7 +2139,7 @@ mod tests {
         let net = fig1(PhyParams::default());
         let (l1, _, _) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l1]);
-        let stats = DominoSim::run(&net, &w, 2.0, 1);
+        let stats = run_plain::<DominoWorld>(&net, &w, 2.0, 1);
         let mbps = stats.link_mbps(l1);
         // One link per slot: 4096 bits / ~492 us slot ≈ 8.3 Mb/s (minus
         // ROP overhead).
@@ -2354,9 +2161,9 @@ mod tests {
         let net = fig1(PhyParams::default());
         let (l1, l2, l3) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l1, l2, l3]);
-        let domino = DominoSim::run(&net, &w, 3.0, 1);
-        let dcf = DcfSim::run(&net, &w, 3.0, 1);
-        let omni = OmniscientSim::run(&net, &w, 3.0, 1);
+        let domino = run_plain::<DominoWorld>(&net, &w, 3.0, 1);
+        let dcf = run_plain::<DcfWorld>(&net, &w, 3.0, 1);
+        let omni = run_plain::<OmniWorld>(&net, &w, 3.0, 1);
         let (d, c, o) =
             (domino.aggregate_mbps(), dcf.aggregate_mbps(), omni.aggregate_mbps());
         // Fig 2: DOMINO performs close to the omniscient scheme and far
@@ -2379,7 +2186,7 @@ mod tests {
             .map(|l| l.id)
             .collect();
         let w = Workload::udp_saturated(&ups);
-        let stats = DominoSim::run(&net, &w, 3.0, 2);
+        let stats = run_plain::<DominoWorld>(&net, &w, 3.0, 2);
         let total = stats.aggregate_mbps();
         // Client-driven slots lean on relayed triggers and carry more
         // per-slot control overhead than downlinks; the healthy signal is
@@ -2402,7 +2209,7 @@ mod tests {
             wired: WiredLatency::with_std(60.0),
             ..DominoConfig::default()
         };
-        let stats = DominoSim::run_with(&net, &w, 1.0, 3, cfg);
+        let stats = run_faulted::<DominoWorld>(&net, &w, 1.0, 3, &FaultConfig::off(), cfg);
         let mis = stats.misalignment_by_slot();
         assert!(mis.len() > 10, "not enough slots recorded: {}", mis.len());
         // Steady state must be tightly aligned even though slot 0 starts
@@ -2417,8 +2224,8 @@ mod tests {
     fn deterministic() {
         let net = fig7(PhyParams::default());
         let w = Workload::udp_updown(&net, 5e6, 5e6);
-        let a = DominoSim::run(&net, &w, 1.0, 9);
-        let b = DominoSim::run(&net, &w, 1.0, 9);
+        let a = run_plain::<DominoWorld>(&net, &w, 1.0, 9);
+        let b = run_plain::<DominoWorld>(&net, &w, 1.0, 9);
         assert_eq!(a.delivered_bits, b.delivered_bits);
         assert_eq!(a.events, b.events);
     }
@@ -2427,7 +2234,7 @@ mod tests {
     fn tcp_over_domino_progresses() {
         let net = fig1(PhyParams::default());
         let w = Workload::tcp_updown(&net, 10e6, 0.0);
-        let stats = DominoSim::run(&net, &w, 3.0, 4);
+        let stats = run_plain::<DominoWorld>(&net, &w, 3.0, 4);
         // Modest by design: the paper treats the TCP ACK as a regular
         // packet occupying a whole slot (§4.2.3), which halves the slot
         // budget of a single flow; the healthy signal is progress with
@@ -2455,108 +2262,10 @@ mod tests {
             },
             ..DominoConfig::default()
         };
-        let without = DominoSim::run_with(&net, &w, 2.0, 5, cfg);
-        let with = DominoSim::run(&net, &w, 2.0, 5);
+        let without = run_faulted::<DominoWorld>(&net, &w, 2.0, 5, &FaultConfig::off(), cfg);
+        let with = run_plain::<DominoWorld>(&net, &w, 2.0, 5);
         assert!(without.aggregate_mbps() > 0.0);
         assert!(with.aggregate_mbps() > 0.0);
-    }
-
-    fn assert_stats_eq(a: &RunStats, b: &RunStats) {
-        assert_eq!(a.delivered_bits, b.delivered_bits);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.drops, b.drops);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.ack_timeouts, b.ack_timeouts);
-        assert_eq!(a.domino, b.domino);
-        assert_eq!(a.faults, b.faults);
-        assert_eq!(a.slot_starts, b.slot_starts);
-        for (da, db) in a.delays.iter().zip(&b.delays) {
-            assert_eq!(da.samples(), db.samples());
-        }
-    }
-
-    #[test]
-    fn checkpoint_and_resume_match_uninterrupted_run() {
-        let net = fig7(PhyParams::default());
-        let w = Workload::udp_updown(&net, 8e6, 8e6);
-        let baseline = DominoSim::run(&net, &w, 1.0, 11);
-        let boundary = SimTime::from_nanos(400_000_000);
-        let mut captured = Vec::new();
-        let ckpt_run = DominoSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            11,
-            DominoConfig::default(),
-            &FaultConfig::off(),
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| captured.push(bytes),
-        );
-        assert_stats_eq(&baseline, &ckpt_run);
-        assert_eq!(captured.len(), 1);
-        let resumed = DominoSim::resume(
-            &net,
-            &w,
-            1.0,
-            11,
-            DominoConfig::default(),
-            &FaultConfig::off(),
-            TraceHandle::off(),
-            &captured[0],
-        )
-        .expect("snapshot restores");
-        assert_stats_eq(&baseline, &resumed);
-    }
-
-    #[test]
-    fn checkpoint_resume_under_ctrl_crash_and_standby() {
-        // Chaos plus the failover class: the snapshot must carry the
-        // fault plane, the standby's buffered delta, and mid-promotion
-        // controller state byte-for-byte.
-        let net = fig7(PhyParams::default());
-        let w = Workload::udp_updown(&net, 8e6, 8e6);
-        let faults = FaultConfig {
-            ctrl_crash: 0.05,
-            ctrl_downtime_us: 20_000.0,
-            standby: true,
-            ..FaultConfig::chaos(0.5)
-        };
-        let baseline = DominoSim::run_faulted(
-            &net,
-            &w,
-            2.0,
-            13,
-            DominoConfig::default(),
-            &faults,
-        );
-        assert!(baseline.faults.ctrl_crashes > 0, "no crash drawn: {:?}", baseline.faults);
-        let boundary = SimTime::from_nanos(900_000_000);
-        let mut captured = Vec::new();
-        let ckpt_run = DominoSim::run_ckpt(
-            &net,
-            &w,
-            2.0,
-            13,
-            DominoConfig::default(),
-            &faults,
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| captured.push(bytes),
-        );
-        assert_stats_eq(&baseline, &ckpt_run);
-        let resumed = DominoSim::resume(
-            &net,
-            &w,
-            2.0,
-            13,
-            DominoConfig::default(),
-            &faults,
-            TraceHandle::off(),
-            &captured[0],
-        )
-        .expect("chaos snapshot restores");
-        assert_stats_eq(&baseline, &resumed);
     }
 
     #[test]
@@ -2570,9 +2279,9 @@ mod tests {
         };
         let warm_cfg = FaultConfig { standby: true, ..cold_cfg.clone() };
         let cold =
-            DominoSim::run_faulted(&net, &w, 3.0, 17, DominoConfig::default(), &cold_cfg);
+            run_faulted::<DominoWorld>(&net, &w, 3.0, 17, &cold_cfg, DominoConfig::default());
         let warm =
-            DominoSim::run_faulted(&net, &w, 3.0, 17, DominoConfig::default(), &warm_cfg);
+            run_faulted::<DominoWorld>(&net, &w, 3.0, 17, &warm_cfg, DominoConfig::default());
         assert!(cold.faults.ctrl_crashes > 0, "no cold crashes: {:?}", cold.faults);
         assert!(warm.faults.ctrl_crashes > 0, "no warm crashes: {:?}", warm.faults);
         assert_eq!(cold.faults.standby_promotions, 0);

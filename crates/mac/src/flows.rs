@@ -1,22 +1,95 @@
-//! Traffic glue shared by every scheme engine: per-link queues, UDP/TCP
-//! flow drive, delivery accounting.
+//! Traffic glue shared by every scheme engine: per-link queues, the
+//! UDP/TCP traffic events, delivery accounting.
 //!
 //! The scheme engines (DCF, CENTAUR, Omniscient, DOMINO) differ only in
 //! *when* a link gets to transmit; everything about packet arrivals,
-//! TCP feedback, queue occupancy and goodput/delay metering is identical
-//! and lives here.
+//! TCP feedback and retransmission timers, queue occupancy and
+//! goodput/delay metering is identical and lives here. Each scheme's
+//! event type wraps [`TrafficEv`], and [`FlowEngine::on_event`] is the one
+//! place those events are handled; the scheme only adds its reaction
+//! (kick a contender, re-arm one RTO or all of them).
 
 use crate::workload::{FlowKind, RunStats, Workload};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{SimDuration, SimTime};
+use domino_sim::{Engine, SimDuration, SimTime};
 use domino_topology::{LinkId, Network};
 use domino_traffic::{
     FlowId, LinkQueue, Packet, PacketId, PacketKind, TcpReceiver, TcpSender, UdpSource,
     TCP_ACK_BYTES,
 };
 
-/// Recommended interval for the harness's periodic TCP application tick.
+/// Interval of the periodic TCP application tick.
 pub const TCP_TICK: SimDuration = SimDuration::from_millis(2);
+
+/// The traffic events every scheme shares.
+#[derive(Clone, Copy, Debug)]
+pub enum TrafficEv {
+    /// A UDP flow's next packet is due.
+    UdpArrival {
+        /// Flow index.
+        flow: usize,
+    },
+    /// Periodic TCP application tick.
+    TcpTick {
+        /// Flow index.
+        flow: usize,
+    },
+    /// TCP retransmission-timer check.
+    TcpRto {
+        /// Flow index.
+        flow: usize,
+        /// Staleness guard: only the latest re-arm of a flow fires.
+        gen: u64,
+    },
+}
+
+impl SnapValue for TrafficEv {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            TrafficEv::UdpArrival { flow } => {
+                w.put_u8(0);
+                flow.put(w);
+            }
+            TrafficEv::TcpTick { flow } => {
+                w.put_u8(1);
+                flow.put(w);
+            }
+            TrafficEv::TcpRto { flow, gen } => {
+                w.put_u8(2);
+                flow.put(w);
+                w.put_u64(*gen);
+            }
+        }
+    }
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.get_u8()? {
+            0 => TrafficEv::UdpArrival { flow: SnapValue::thaw(r)? },
+            1 => TrafficEv::TcpTick { flow: SnapValue::thaw(r)? },
+            2 => TrafficEv::TcpRto { flow: SnapValue::thaw(r)?, gen: r.get_u64()? },
+            _ => return Err(SnapError::Corrupt("traffic event tag")),
+        })
+    }
+}
+
+impl TrafficEv {
+    /// The flow this event belongs to.
+    pub fn flow(self) -> usize {
+        match self {
+            TrafficEv::UdpArrival { flow }
+            | TrafficEv::TcpTick { flow }
+            | TrafficEv::TcpRto { flow, .. } => flow,
+        }
+    }
+}
+
+/// What a handled traffic event changed, for the scheme's reaction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fired {
+    /// A UDP packet of this flow arrived at its queue.
+    Udp(usize),
+    /// This TCP flow's sender moved; its RTO deadline may have moved too.
+    Tcp(usize),
+}
 
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
@@ -45,6 +118,11 @@ pub struct FlowEngine {
     /// not double-count it).
     last_udp_seq: Vec<Option<u64>>,
     ack_serial: u64,
+    /// Per-flow RTO generation: a `TcpRto` event fires only if it carries
+    /// its flow's latest generation.
+    rto_gen: Vec<u64>,
+    /// Indices of the TCP flows, in flow order.
+    tcp: Vec<usize>,
     /// Statistics under construction.
     pub stats: RunStats,
 }
@@ -87,11 +165,84 @@ impl FlowEngine {
         FlowEngine {
             packet_bytes: workload.packet_bytes,
             queues: (0..num_links).map(|_| LinkQueue::default()).collect(),
+            tcp: (0..flows.len())
+                .filter(|&i| matches!(flows[i], FlowRuntime::Tcp { .. }))
+                .collect(),
+            rto_gen: vec![0; flows.len()],
             flows,
             flow_of_link,
             last_udp_seq: vec![None; num_links],
             ack_serial: 0,
             stats: RunStats::new(num_links, duration_s),
+        }
+    }
+
+    /// Schedule every flow's first traffic event: each UDP flow's first
+    /// arrival, then each TCP flow's first tick.
+    pub fn seed<E: From<TrafficEv>>(&self, engine: &mut Engine<E>) {
+        for (flow, f) in self.flows.iter().enumerate() {
+            if let FlowRuntime::Udp(src) = f {
+                engine.schedule_at(src.next_arrival(), TrafficEv::UdpArrival { flow }.into());
+            }
+        }
+        for &flow in &self.tcp {
+            engine.schedule_at(SimTime::ZERO + TCP_TICK, TrafficEv::TcpTick { flow }.into());
+        }
+    }
+
+    /// Handle one traffic event: queue a UDP arrival and schedule the
+    /// next, run a TCP tick and schedule the next, or fire a current RTO.
+    /// Returns what changed, or `None` for a superseded RTO. The caller
+    /// reacts: a CSMA scheme kicks the sender, and after `Fired::Tcp` it
+    /// re-arms RTOs with [`FlowEngine::sync_rto`] or
+    /// [`FlowEngine::sync_all_rto`].
+    pub fn on_event<E: From<TrafficEv>>(
+        &mut self,
+        ev: TrafficEv,
+        now: SimTime,
+        engine: &mut Engine<E>,
+    ) -> Option<Fired> {
+        let flow = ev.flow();
+        if let TrafficEv::TcpRto { gen, .. } = ev {
+            if self.rto_gen[flow] != gen {
+                return None; // superseded by a later re-arm: the common case
+            }
+        }
+        let released = match (ev, &mut self.flows[flow]) {
+            (TrafficEv::UdpArrival { .. }, FlowRuntime::Udp(src)) => {
+                let packet = src.emit((flow as u64) << 40);
+                if !self.queues[packet.link.index()].push(packet) {
+                    self.stats.drops += 1;
+                }
+                engine.schedule_at(src.next_arrival(), ev.into());
+                return Some(Fired::Udp(flow));
+            }
+            (TrafficEv::TcpTick { .. }, FlowRuntime::Tcp { sender, .. }) => {
+                engine.schedule_in(TCP_TICK, ev.into());
+                sender.poll(now)
+            }
+            (TrafficEv::TcpRto { .. }, FlowRuntime::Tcp { sender, .. }) => sender.on_timer(now),
+            _ => return None,
+        };
+        self.enqueue_all(released);
+        Some(Fired::Tcp(flow))
+    }
+
+    /// Re-arm one TCP flow's RTO event after its deadline may have moved:
+    /// bump the flow's generation (superseding the pending event) and
+    /// schedule the current deadline, if any.
+    pub fn sync_rto<E: From<TrafficEv>>(&mut self, flow: usize, now: SimTime, engine: &mut Engine<E>) {
+        self.rto_gen[flow] += 1;
+        if let Some(deadline) = self.tcp_rto_deadline(flow) {
+            let gen = self.rto_gen[flow];
+            engine.schedule_at(deadline.max(now), TrafficEv::TcpRto { flow, gen }.into());
+        }
+    }
+
+    /// [`FlowEngine::sync_rto`] for every TCP flow, in flow order.
+    pub fn sync_all_rto<E: From<TrafficEv>>(&mut self, now: SimTime, engine: &mut Engine<E>) {
+        for i in 0..self.tcp.len() {
+            self.sync_rto(self.tcp[i], now, engine);
         }
     }
 
@@ -110,26 +261,6 @@ impl FlowEngine {
         self.queues.iter().map(LinkQueue::len).sum()
     }
 
-    /// Indices of UDP flows.
-    pub fn udp_flows(&self) -> Vec<usize> {
-        self.flows
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| matches!(f, FlowRuntime::Udp(_)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Indices of TCP flows.
-    pub fn tcp_flows(&self) -> Vec<usize> {
-        self.flows
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| matches!(f, FlowRuntime::Tcp { .. }))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The data link of a flow.
     pub fn flow_link(&self, flow: usize) -> LinkId {
         match &self.flows[flow] {
@@ -138,57 +269,12 @@ impl FlowEngine {
         }
     }
 
-    /// Next arrival instant of a UDP flow.
-    pub fn udp_next_arrival(&self, flow: usize) -> SimTime {
-        match &self.flows[flow] {
-            FlowRuntime::Udp(src) => src.next_arrival(),
-            // lint: allow(D005) caller contract: flow index came from a UDP event; misrouting must not silently corrupt stats
-            _ => panic!("flow {flow} is not UDP"),
-        }
-    }
-
-    /// Emit the due packet of a UDP flow into its queue. Returns whether
-    /// it was queued (false = dropped at the full queue).
-    pub fn udp_arrive(&mut self, flow: usize) -> bool {
-        let packet = match &mut self.flows[flow] {
-            FlowRuntime::Udp(src) => src.emit((flow as u64) << 40),
-            // lint: allow(D005) caller contract: arrival events carry UDP flow indices only
-            _ => panic!("flow {flow} is not UDP"),
-        };
-        let ok = self.queues[packet.link.index()].push(packet);
-        if !ok {
-            self.stats.drops += 1;
-        }
-        ok
-    }
-
-    /// Drive a TCP sender's application/window (periodic tick and after
-    /// acks); releases segments into the link queue.
-    pub fn tcp_tick(&mut self, flow: usize, now: SimTime) {
-        let packets = match &mut self.flows[flow] {
-            FlowRuntime::Tcp { sender, .. } => sender.poll(now),
-            // lint: allow(D005) caller contract: tick events carry TCP flow indices only
-            _ => panic!("flow {flow} is not TCP"),
-        };
-        self.enqueue_all(packets);
-    }
-
     /// Current RTO deadline of a TCP flow.
-    pub fn tcp_rto_deadline(&self, flow: usize) -> Option<SimTime> {
+    fn tcp_rto_deadline(&self, flow: usize) -> Option<SimTime> {
         match &self.flows[flow] {
             FlowRuntime::Tcp { sender, .. } => sender.rto_deadline(),
-            _ => None,
+            FlowRuntime::Udp(_) => None,
         }
-    }
-
-    /// Fire a TCP retransmission-timer check.
-    pub fn tcp_timer(&mut self, flow: usize, now: SimTime) {
-        let packets = match &mut self.flows[flow] {
-            FlowRuntime::Tcp { sender, .. } => sender.on_timer(now),
-            // lint: allow(D005) caller contract: RTO events carry TCP flow indices only
-            _ => panic!("flow {flow} is not TCP"),
-        };
-        self.enqueue_all(packets);
     }
 
     fn enqueue_all(&mut self, packets: Vec<Packet>) {
@@ -292,6 +378,7 @@ impl FlowEngine {
         }
         self.last_udp_seq.put(w);
         w.put_u64(self.ack_serial);
+        self.rto_gen.put(w);
         self.stats.save(w);
     }
 
@@ -323,6 +410,11 @@ impl FlowEngine {
             return Err(SnapError::Corrupt("udp seq table length"));
         }
         self.ack_serial = r.get_u64()?;
+        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
+        if rto_gen.len() != self.rto_gen.len() {
+            return Err(SnapError::Corrupt("rto gen table length"));
+        }
+        self.rto_gen = rto_gen;
         self.stats.restore(r)
     }
 
@@ -357,18 +449,52 @@ mod tests {
         Network::new(nodes, rss, PhyParams::default())
     }
 
+    /// Hand one traffic event to the flow engine, as a scheme's handler
+    /// would.
+    fn fire(fe: &mut FlowEngine, ev: TrafficEv, now: SimTime) -> Option<Fired> {
+        let mut engine: Engine<TrafficEv> = Engine::new();
+        fe.on_event(ev, now, &mut engine)
+    }
+
+    fn arrive(fe: &mut FlowEngine, flow: usize) {
+        fire(fe, TrafficEv::UdpArrival { flow }, SimTime::ZERO);
+    }
+
+    fn tick(fe: &mut FlowEngine, flow: usize, now: SimTime) {
+        fire(fe, TrafficEv::TcpTick { flow }, now);
+    }
+
     #[test]
-    fn udp_arrivals_fill_the_queue() {
+    fn seeding_schedules_udp_arrivals_then_tcp_ticks() {
+        let n = net();
+        let mut w = Workload::udp_updown(&n, 10e6, 0.0);
+        w.flows.extend(Workload::tcp_updown(&n, 0.0, 1e6).flows);
+        let fe = FlowEngine::new(&n, &w, 1.0);
+        let mut engine: Engine<TrafficEv> = Engine::new();
+        fe.seed(&mut engine);
+        let (t0, first) = engine.pop().unwrap();
+        assert!(matches!(first, TrafficEv::UdpArrival { flow: 0 }));
+        assert!(t0 > SimTime::ZERO);
+        let (t1, second) = engine.pop().unwrap();
+        assert!(matches!(second, TrafficEv::TcpTick { flow: 1 }));
+        assert_eq!(t1, SimTime::ZERO + TCP_TICK);
+        assert!(engine.pop().is_none());
+    }
+
+    #[test]
+    fn udp_arrivals_fill_the_queue_and_reschedule() {
         let n = net();
         let w = Workload::udp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.udp_flows()[0];
-        assert!(fe.udp_next_arrival(flow) > SimTime::ZERO);
+        let mut engine: Engine<TrafficEv> = Engine::new();
         for _ in 0..5 {
-            assert!(fe.udp_arrive(flow));
+            let fired = fe.on_event(TrafficEv::UdpArrival { flow: 0 }, SimTime::ZERO, &mut engine);
+            assert_eq!(fired, Some(Fired::Udp(0)));
         }
         assert_eq!(fe.queue(LinkId(0)).len(), 5);
         assert_eq!(fe.total_backlog(), 5);
+        // Every arrival scheduled the flow's next one.
+        assert_eq!(engine.pending(), 5);
     }
 
     #[test]
@@ -376,8 +502,7 @@ mod tests {
         let n = net();
         let w = Workload::udp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.udp_flows()[0];
-        fe.udp_arrive(flow);
+        arrive(&mut fe, 0);
         let p = fe.queue_mut(LinkId(0)).pop().unwrap();
         let deliver_at = p.created_at + SimDuration::from_micros(500);
         fe.deliver(&p, deliver_at);
@@ -390,8 +515,7 @@ mod tests {
         let n = net();
         let w = Workload::tcp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.tcp_flows()[0];
-        fe.tcp_tick(flow, SimTime::from_millis(1));
+        tick(&mut fe, 0, SimTime::from_millis(1));
         assert!(!fe.queue(LinkId(0)).is_empty(), "sender released segments");
         let p = fe.queue_mut(LinkId(0)).pop().unwrap();
         assert_eq!(p.kind, PacketKind::TcpData);
@@ -414,8 +538,7 @@ mod tests {
         let n = net();
         let w = Workload::tcp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.tcp_flows()[0];
-        fe.tcp_tick(flow, SimTime::from_millis(1));
+        tick(&mut fe, 0, SimTime::from_millis(1));
         let p = fe.queue_mut(LinkId(0)).pop().unwrap();
         fe.deliver(&p, SimTime::from_millis(2));
         let bits = fe.stats.delivered_bits[0];
@@ -429,8 +552,7 @@ mod tests {
         let n = net();
         let w = Workload::udp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.udp_flows()[0];
-        fe.udp_arrive(flow);
+        arrive(&mut fe, 0);
         let p = fe.queue_mut(LinkId(0)).pop().unwrap();
         fe.deliver(&p, SimTime::from_millis(1));
         fe.deliver(&p, SimTime::from_millis(2)); // MAC retry after lost ACK
@@ -443,51 +565,44 @@ mod tests {
         let n = net();
         let w = Workload::udp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.udp_flows()[0];
         for _ in 0..250 {
-            let _ = fe.udp_arrive(flow);
+            arrive(&mut fe, 0);
         }
         assert!(fe.stats.drops > 0);
         assert_eq!(fe.queue(LinkId(0)).len(), 200);
     }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-    use crate::workload::Workload;
-    use domino_phy::units::Dbm;
-    use domino_topology::network::{make_node, PhyParams};
-    use domino_topology::node::{NodeId, NodeRole, Position};
-    use domino_topology::rss::RssMatrix;
-    use domino_topology::{LinkId, Network};
-
-    fn net() -> Network {
-        let nodes = vec![
-            make_node(0, NodeRole::Ap, None, Position::default()),
-            make_node(1, NodeRole::Client, Some(0), Position::default()),
-        ];
-        let mut rss = RssMatrix::disconnected(2);
-        rss.set_symmetric(NodeId(0), NodeId(1), Dbm(-55.0));
-        Network::new(nodes, rss, PhyParams::default())
-    }
 
     #[test]
-    fn tcp_rto_fires_through_the_engine_interface() {
+    fn tcp_rto_fires_only_at_its_latest_generation() {
         let n = net();
         let w = Workload::tcp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.tcp_flows()[0];
-        fe.tcp_tick(flow, SimTime::from_millis(1));
-        let q_before = fe.queue(LinkId(0)).len();
-        assert!(q_before > 0);
-        let deadline = fe.tcp_rto_deadline(flow).expect("rto armed after send");
-        // Drain the queue (packets "lost"), then fire the timer: the
-        // retransmission lands back in the queue.
+        tick(&mut fe, 0, SimTime::from_millis(1));
+        assert!(!fe.queue(LinkId(0)).is_empty());
+        let mut engine: Engine<TrafficEv> = Engine::new();
+        // Two re-arms: the first event is superseded by the second.
+        fe.sync_rto(0, SimTime::from_millis(1), &mut engine);
+        fe.sync_rto(0, SimTime::from_millis(1), &mut engine);
+        let (_, stale) = engine.pop().expect("rto armed after send");
+        let (deadline, live) = engine.pop().expect("re-armed rto");
+        assert!(matches!(live, TrafficEv::TcpRto { flow: 0, gen: 2 }));
+        // Drain the queue (packets "lost"), then fire the timers: the
+        // superseded one is ignored, the live one retransmits.
         while fe.queue_mut(LinkId(0)).pop().is_some() {}
-        fe.tcp_timer(flow, deadline);
+        assert_eq!(fire(&mut fe, stale, deadline), None);
+        assert!(fe.queue(LinkId(0)).is_empty());
+        assert_eq!(fire(&mut fe, live, deadline), Some(Fired::Tcp(0)));
         assert_eq!(fe.queue(LinkId(0)).len(), 1, "go-back-N retransmission queued");
         assert_eq!(fe.tcp_retransmissions(), 1);
+    }
+
+    #[test]
+    fn events_for_the_wrong_flow_kind_are_ignored() {
+        let n = net();
+        let w = Workload::udp_updown(&n, 5e6, 1e6);
+        let mut fe = FlowEngine::new(&n, &w, 1.0);
+        assert_eq!(fire(&mut fe, TrafficEv::TcpTick { flow: 0 }, SimTime::ZERO), None);
+        assert_eq!(fe.total_backlog(), 0);
     }
 
     #[test]
@@ -504,9 +619,9 @@ mod more_tests {
         let n = net();
         let w = Workload::udp_updown(&n, 5e6, 5e6);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        for flow in fe.udp_flows() {
-            fe.udp_arrive(flow);
-            fe.udp_arrive(flow);
+        for flow in 0..2 {
+            arrive(&mut fe, flow);
+            arrive(&mut fe, flow);
         }
         assert_eq!(fe.total_backlog(), 4);
     }

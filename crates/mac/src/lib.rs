@@ -15,7 +15,8 @@
 //!
 //! Shared pieces: [`timing`] (802.11g constants and DOMINO slot
 //! geometry), [`workload`] (flow specs and run statistics), [`flows`]
-//! (traffic drive and metering).
+//! (traffic events and metering), and [`world`] — the one run path: the
+//! [`World`] trait each scheme implements and the generic driver [`run`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +28,11 @@ pub mod flows;
 pub mod omniscient;
 pub mod timing;
 pub mod workload;
+pub mod world;
 
-pub use dcf::DcfSim;
+pub use centaur::CentaurWorld;
+pub use dcf::DcfWorld;
+pub use domino::DominoWorld;
+pub use omniscient::OmniWorld;
+pub use world::{run, Checkpoints, Core, RunOptions, Setup, World};
 pub use workload::{FlowKind, FlowSpec, RunStats, Workload};

@@ -8,259 +8,122 @@
 //! microsecond synchronization were free — the bar DOMINO is measured
 //! against.
 
-use crate::dcf::{sync_rto, Ev};
-use crate::flows::{FlowEngine, TCP_TICK};
+use crate::flows::{Fired, TrafficEv};
 use crate::timing::{ack_airtime, data_airtime, SIFS};
-use crate::workload::{client_indices, RunStats, Workload};
-use domino_faults::{FaultConfig, FaultPlane};
-use domino_medium::{Frame, FrameBody, Medium};
-use domino_obs::{TraceEvent, TraceHandle};
+use crate::world::{Core, Setup, World};
+use domino_medium::{Frame, FrameBody, TxId};
+use domino_obs::{CostPath, TraceEvent, TraceHandle};
 use domino_scheduler::RandScheduler;
-use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimDuration, SimTime};
-use domino_topology::{ConflictGraph, LinkId, Network};
+use domino_sim::{SimDuration, SimTime};
+use domino_topology::{ConflictGraph, LinkId};
 
-/// Scheme events for the omniscient engine.
+/// Events of the omniscient engine.
 #[derive(Debug)]
 pub enum OmniEv {
+    /// A shared traffic event.
+    Traffic(TrafficEv),
+    /// A transmission leaves the air.
+    TxEnd {
+        /// Medium handle.
+        tx: TxId,
+    },
     /// A synchronized slot begins.
     SlotStart,
 }
 
+impl From<TrafficEv> for OmniEv {
+    fn from(ev: TrafficEv) -> Self {
+        OmniEv::Traffic(ev)
+    }
+}
+
 impl SnapValue for OmniEv {
     fn put(&self, w: &mut SnapWriter) {
-        w.put_u8(0); // SlotStart, the only variant
+        match self {
+            OmniEv::Traffic(ev) => {
+                w.put_u8(0);
+                ev.put(w);
+            }
+            OmniEv::TxEnd { tx } => {
+                w.put_u8(1);
+                tx.put(w);
+            }
+            OmniEv::SlotStart => w.put_u8(2),
+        }
     }
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(OmniEv::SlotStart),
-            _ => Err(SnapError::Corrupt("omni event tag")),
-        }
+        Ok(match r.get_u8()? {
+            0 => OmniEv::Traffic(SnapValue::thaw(r)?),
+            1 => OmniEv::TxEnd { tx: SnapValue::thaw(r)? },
+            2 => OmniEv::SlotStart,
+            _ => return Err(SnapError::Corrupt("omni event tag")),
+        })
     }
 }
 
-/// The omniscient engine.
+/// The complete state of an omniscient run between events. Only the
+/// medium-resident fault classes (churn dark intervals; fades are moot
+/// without signature bursts) touch this idealized scheme — its control
+/// plane is free and lossless by definition.
 #[derive(Debug)]
-pub struct OmniscientSim;
-
-impl OmniscientSim {
-    /// Run `workload` over `net` for `duration_s` seconds.
-    pub fn run(net: &Network, workload: &Workload, duration_s: f64, seed: u64) -> RunStats {
-        OmniscientSim::run_faulted(net, workload, duration_s, seed, &FaultConfig::off())
-    }
-
-    /// [`OmniscientSim::run`] under a fault plane. Only the medium-resident
-    /// classes (churn dark intervals; fades are moot without signature
-    /// bursts) touch this idealized scheme — its control plane is free and
-    /// lossless by definition.
-    pub fn run_faulted(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-    ) -> RunStats {
-        Self::run_traced(net, workload, duration_s, seed, faults, TraceHandle::off())
-    }
-
-    /// [`OmniscientSim::run_faulted`] with a trace sink attached. Tracing
-    /// is observation only — it draws no randomness and schedules no
-    /// events, so a run with the handle off is byte-identical to one that
-    /// never attached a tracer.
-    pub fn run_traced(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> RunStats {
-        OmniscientSim::run_ckpt(net, workload, duration_s, seed, faults, tracer, &[], &mut |_, _| {})
-    }
-
-    /// [`OmniscientSim::run_traced`] with a cost profiler attached.
-    /// Profiling is observation only — no draws, no events, no hot-path
-    /// allocation — so a run with the handle off is byte-identical to a
-    /// profiled one.
-    pub fn run_profiled(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: domino_obs::ProfHandle,
-    ) -> RunStats {
-        let mut world = OmniWorld::new(net, workload, duration_s, seed, faults, tracer);
-        world.set_profiler(prof);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// [`OmniscientSim::run_traced`] with snapshot boundaries; see
-    /// [`crate::DcfSim::run_ckpt`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_ckpt(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        let mut world = OmniWorld::new(net, workload, duration_s, seed, faults, tracer);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        for &b in boundaries.iter().filter(|&&b| b <= horizon) {
-            if b > SimTime::ZERO && !world.drive(b - SimDuration::from_nanos(1)) {
-                return world.finalize();
-            }
-            let mut w = SnapWriter::new();
-            world.snapshot_save(&mut w);
-            sink(b, w.into_bytes());
-        }
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// Rebuild a run from a [`OmniscientSim::run_ckpt`] payload and run it
-    /// to completion; see [`crate::DcfSim::resume`] for the contract.
-    pub fn resume(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        payload: &[u8],
-    ) -> Result<RunStats, SnapError> {
-        let mut world = OmniWorld::new(net, workload, duration_s, seed, faults, tracer);
-        let mut r = SnapReader::new(payload);
-        world.snapshot_restore(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError::Corrupt("trailing snapshot bytes"));
-        }
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        Ok(world.finalize())
-    }
-}
-
-/// The complete state of an omniscient run between events.
-#[derive(Debug)]
-struct OmniWorld {
-    net: Network,
-    engine: Engine<Ev<OmniEv>>,
-    medium: Medium,
-    fe: FlowEngine,
+pub struct OmniWorld {
+    core: Core<OmniEv>,
     sched: RandScheduler,
-    rto_gen: Vec<u64>,
     /// Synchronized-slot index, for the trace only.
     slot_idx: u64,
     graph: ConflictGraph,
     rate: domino_phy::error_model::DataRate,
     /// Fixed slot: data + SIFS + ack + SIFS turnaround.
     slot: SimDuration,
-    tracer: TraceHandle,
-    /// Observation-only cost profiler (off by default).
-    prof: domino_obs::ProfHandle,
 }
 
-impl OmniWorld {
-    fn new(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> OmniWorld {
-        let mut engine: Engine<Ev<OmniEv>> = Engine::new();
-        let mut medium = Medium::new(net.clone(), seed);
-        let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
-        if plane.cfg.enabled() {
-            medium.set_faults(plane.medium);
-        }
-        medium.set_tracer(tracer.clone());
-        engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_tracer(tracer.clone());
-        let fe = FlowEngine::new(net, workload, duration_s);
-        let graph = ConflictGraph::build_for_scheduling(net);
-        let sched = RandScheduler::new(net.links().len());
-        let rto_gen: Vec<u64> = vec![0; workload.flows.len()];
-        let rate = net.phy().data_rate;
-        let slot = data_airtime(rate, workload.packet_bytes) + SIFS + ack_airtime(rate) + SIFS;
+impl World for OmniWorld {
+    type Ev = OmniEv;
+    type Config = ();
 
-        for flow in fe.udp_flows() {
-            engine.schedule_at(fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-        }
-        for flow in fe.tcp_flows() {
-            engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
-        }
-        engine.schedule_at(SimTime::ZERO, Ev::Scheme(OmniEv::SlotStart));
+    fn build(setup: &Setup<'_>, (): (), tracer: TraceHandle) -> OmniWorld {
+        let mut core = Core::new(setup, tracer);
+        let net = setup.net;
+        let rate = net.phy().data_rate;
+        let slot =
+            data_airtime(rate, setup.workload.packet_bytes) + SIFS + ack_airtime(rate) + SIFS;
+        core.engine.schedule_at(SimTime::ZERO, OmniEv::SlotStart);
         OmniWorld {
-            net: net.clone(),
-            engine,
-            medium,
-            fe,
-            sched,
-            rto_gen,
+            core,
+            sched: RandScheduler::new(net.links().len()),
             slot_idx: 0,
-            graph,
+            graph: ConflictGraph::build_for_scheduling(net),
             rate,
             slot,
-            tracer,
-            prof: domino_obs::ProfHandle::off(),
         }
     }
 
-    /// Attach a cost profiler to the engine, the medium and the world's
-    /// own event dispatch.
-    fn set_profiler(&mut self, prof: domino_obs::ProfHandle) {
-        self.engine.set_profiler(prof.clone());
-        self.medium.set_profiler(prof.clone());
-        self.prof = prof;
+    fn core(&mut self) -> &mut Core<OmniEv> {
+        &mut self.core
     }
 
-    fn drive(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.engine.pop_until_checked(horizon) {
-                Ok(Some((now, ev))) => self.handle(now, ev),
-                Ok(None) => return true,
-                Err(_livelock) => {
-                    self.fe.stats.faults.livelocks += 1;
-                    return false;
-                }
-            }
-        }
-    }
-
-    fn handle(&mut self, now: SimTime, ev: Ev<OmniEv>) {
-        self.prof.tick(ev.cost_class());
+    fn cost_class(ev: &OmniEv) -> CostPath {
         match ev {
-            Ev::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine.schedule_at(self.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-            }
-            Ev::TcpTick { flow } => {
-                self.fe.tcp_tick(flow, now);
-                self.engine.schedule_in(TCP_TICK, Ev::TcpTick { flow });
-                sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-            }
-            Ev::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] == gen {
-                    self.fe.tcp_timer(flow, now);
-                    sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
+            OmniEv::Traffic(_) => CostPath::EvTraffic,
+            OmniEv::TxEnd { .. } => CostPath::EvMedium,
+            OmniEv::SlotStart => CostPath::EvController,
+        }
+    }
+
+    fn handle(&mut self, now: SimTime, ev: OmniEv) {
+        let c = &mut self.core;
+        match ev {
+            OmniEv::Traffic(ev) => {
+                if let Some(Fired::Tcp(flow)) = c.fe.on_event(ev, now, &mut c.engine) {
+                    c.fe.sync_rto(flow, now, &mut c.engine);
                 }
             }
-            Ev::Scheme(OmniEv::SlotStart) => {
+            OmniEv::SlotStart => {
                 // Perfect knowledge: one maximal set from true queue
                 // lengths.
-                let mut backlog: Vec<u32> = (0..self.net.links().len())
-                    .map(|l| self.fe.queue(LinkId(l as u32)).len() as u32)
+                let mut backlog: Vec<u32> = (0..c.net.links().len())
+                    .map(|l| c.fe.queue(LinkId(l as u32)).len() as u32)
                     .collect();
                 let batch = self.sched.schedule_batch(&self.graph, &mut backlog, 1);
                 self.slot_idx += 1;
@@ -268,99 +131,68 @@ impl OmniWorld {
                     let mut txs = Vec::new();
                     for &l in links {
                         let slot_idx = self.slot_idx;
-                        self.tracer.emit(now.as_nanos(), || TraceEvent::SlotStart {
+                        c.tracer.emit(now.as_nanos(), || TraceEvent::SlotStart {
                             slot: slot_idx,
                             link: l.0,
                             fake: false,
                         });
                         // lint: allow(D005) the scheduler only emits links whose live backlog was non-zero
-                        let packet = self.fe.queue_mut(l).pop().expect("empty queue");
+                        let packet = c.fe.queue_mut(l).pop().expect("empty queue");
                         let airtime = data_airtime(self.rate, packet.payload_bytes);
                         let frame = Frame {
-                            src: self.net.link(l).sender,
+                            src: c.net.link(l).sender,
                             body: FrameBody::Data { packet, fake: false, client_burst: None },
                             bits: (packet.payload_bytes + crate::timing::MAC_OVERHEAD_BYTES) * 8,
                         };
-                        let tx = self.medium.begin(now, frame);
+                        let tx = c.medium.begin(now, frame);
                         txs.push((tx, now + airtime));
                     }
                     for (tx, end) in txs {
-                        self.engine.schedule_at(end, Ev::TxEnd { tx });
+                        c.engine.schedule_at(end, OmniEv::TxEnd { tx });
                     }
                 }
-                self.engine.schedule_at(now + self.slot, Ev::Scheme(OmniEv::SlotStart));
+                c.engine.schedule_at(now + self.slot, OmniEv::SlotStart);
             }
-            Ev::TxEnd { tx } => {
-                let receptions = self.medium.end(tx, now);
+            OmniEv::TxEnd { tx } => {
+                let receptions = c.medium.end(tx, now);
                 for r in &receptions {
                     if let FrameBody::Data { packet, .. } = &r.frame.body {
-                        let l = *self.net.link(packet.link);
+                        let l = *c.net.link(packet.link);
                         let intended = if l.is_downlink() { l.client() } else { l.ap };
                         if r.rx == intended {
-                            self.tracer.emit(now.as_nanos(), || TraceEvent::SlotEnd {
+                            c.tracer.emit(now.as_nanos(), || TraceEvent::SlotEnd {
                                 link: packet.link.0,
                                 delivered: r.success,
                             });
                         }
                         if r.success {
-                            self.fe.deliver(packet, now);
+                            c.fe.deliver(packet, now);
                         } else {
                             // The omniscient controller observes the
                             // loss and retries next slot.
-                            self.fe.stats.retries += 1;
-                            if !self.fe.queue_mut(packet.link).push_front(*packet) {
-                                self.fe.stats.drops += 1;
+                            c.fe.stats.retries += 1;
+                            if !c.fe.queue_mut(packet.link).push_front(*packet) {
+                                c.fe.stats.drops += 1;
                             }
                         }
                     }
                 }
-                for flow in self.fe.tcp_flows() {
-                    sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                }
-            }
-            Ev::BackoffExpire { .. } | Ev::AckTimeout { .. } | Ev::SendAck { .. } => {
-                // lint: allow(D005) this engine never schedules CSMA events; reaching here is a dispatch bug
-                unreachable!("no CSMA events in the omniscient engine")
+                c.fe.sync_all_rto(now, &mut c.engine);
             }
         }
     }
 
-    fn finalize(mut self) -> RunStats {
-        // End-of-run profile flush (no-ops when the handle is off).
-        self.engine.profile_wheel();
-        self.prof
-            .add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.prof.add(
-            domino_obs::CostPath::RngFaults,
-            self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
-        );
-        self.fe.stats.events = self.engine.events_processed();
-        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
-        if let Some(mf) = self.medium.faults() {
-            self.fe.stats.faults.merge_medium(mf);
-        }
-        self.fe.stats
+    fn finish(self) -> Core<OmniEv> {
+        self.core
     }
 
-    fn snapshot_save(&mut self, w: &mut SnapWriter) {
-        self.engine.snapshot_save(w);
-        self.medium.snapshot_save(w);
-        self.fe.snapshot_save(w);
+    fn save(&self, w: &mut SnapWriter) {
         self.sched.save(w);
-        self.rto_gen.put(w);
         w.put_u64(self.slot_idx);
     }
 
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine.snapshot_restore(r)?;
-        self.medium.snapshot_restore(r)?;
-        self.fe.snapshot_restore(r)?;
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.sched.restore(r)?;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
-        }
-        self.rto_gen = rto_gen;
         self.slot_idx = r.get_u64()?;
         Ok(())
     }
@@ -369,8 +201,11 @@ impl OmniWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dcf::DcfWorld;
+    use crate::world::tests::run_plain;
+    use crate::Workload;
     use domino_topology::presets::fig1;
-    use domino_topology::{NodeId, PhyParams};
+    use domino_topology::{Network, NodeId, PhyParams};
 
     pub(crate) fn fig1_links(net: &Network) -> (LinkId, LinkId, LinkId) {
         let l_ap1 = net
@@ -399,7 +234,7 @@ mod tests {
         let net = fig1(PhyParams::default());
         let (l_ap1, l_c2, l_ap3) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l_ap1, l_c2, l_ap3]);
-        let stats = OmniscientSim::run(&net, &w, 3.0, 1);
+        let stats = run_plain::<OmniWorld>(&net, &w, 3.0, 1);
         let (t1, t2, t3) = (
             stats.link_mbps(l_ap1),
             stats.link_mbps(l_c2),
@@ -415,12 +250,11 @@ mod tests {
 
     #[test]
     fn omniscient_beats_dcf_on_fig1() {
-        use crate::dcf::DcfSim;
         let net = fig1(PhyParams::default());
         let (l_ap1, l_c2, l_ap3) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l_ap1, l_c2, l_ap3]);
-        let omni = OmniscientSim::run(&net, &w, 3.0, 1).aggregate_mbps();
-        let dcf = DcfSim::run(&net, &w, 3.0, 1).aggregate_mbps();
+        let omni = run_plain::<OmniWorld>(&net, &w, 3.0, 1).aggregate_mbps();
+        let dcf = run_plain::<DcfWorld>(&net, &w, 3.0, 1).aggregate_mbps();
         // The paper's Fig 2: the omniscient scheme is ~76% above DCF.
         assert!(omni > dcf * 1.4, "omniscient {omni} should clearly beat DCF {dcf}");
     }
@@ -430,47 +264,8 @@ mod tests {
         let net = fig1(PhyParams::default());
         let (l_ap1, l_c2, _) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l_ap1, l_c2]);
-        let a = OmniscientSim::run(&net, &w, 1.0, 3);
-        let b = OmniscientSim::run(&net, &w, 1.0, 3);
+        let a = run_plain::<OmniWorld>(&net, &w, 1.0, 3);
+        let b = run_plain::<OmniWorld>(&net, &w, 1.0, 3);
         assert_eq!(a.delivered_bits, b.delivered_bits);
-    }
-
-    #[test]
-    fn checkpoint_and_resume_match_uninterrupted_run() {
-        let net = fig1(PhyParams::default());
-        let (l_ap1, l_c2, l_ap3) = fig1_links(&net);
-        let w = Workload::udp_saturated(&[l_ap1, l_c2, l_ap3]);
-        let off = FaultConfig::off();
-        let baseline = OmniscientSim::run(&net, &w, 1.0, 3);
-        let mut snap: Option<Vec<u8>> = None;
-        let boundary = SimTime::from_nanos(400_000_000);
-        let ckpt = OmniscientSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            3,
-            &off,
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| snap = Some(bytes),
-        );
-        assert_eq!(ckpt.delivered_bits, baseline.delivered_bits);
-        assert_eq!(ckpt.events, baseline.events);
-        let resumed = OmniscientSim::resume(
-            &net,
-            &w,
-            1.0,
-            3,
-            &off,
-            TraceHandle::off(),
-            &snap.unwrap(),
-        )
-        .unwrap();
-        assert_eq!(resumed.delivered_bits, baseline.delivered_bits);
-        assert_eq!(resumed.events, baseline.events);
-        assert_eq!(resumed.retries, baseline.retries);
-        for (da, db) in resumed.delays.iter().zip(&baseline.delays) {
-            assert_eq!(da.samples(), db.samples());
-        }
     }
 }

@@ -15,7 +15,7 @@ use crate::scale::Scale;
 use crate::codec::{ByteReader, ByteWriter, Codec};
 use domino_core::{scenarios, FaultConfig, FaultStats, Scheme, SimulationBuilder};
 use domino_obs::jsonl::{self, TraceMeta};
-use domino_obs::TraceHandle;
+use domino_obs::{ProfHandle, TraceHandle};
 use domino_stats::Table;
 
 /// Registry key.
@@ -160,7 +160,7 @@ pub fn trace(scale: Scale, seed: u64) -> String {
         .duration_s(scale.duration(2.0))
         .seed(seed)
         .faults(FaultConfig::chaos(1.0))
-        .run_traced(Scheme::Domino, handle);
+        .run_profiled(Scheme::Domino, handle, ProfHandle::off());
     let meta = TraceMeta {
         experiment: NAME.to_string(),
         scheme: "domino".to_string(),

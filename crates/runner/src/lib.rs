@@ -40,7 +40,6 @@ pub mod profcmd;
 pub mod registry;
 pub mod scale;
 pub mod simcmd;
-pub mod single;
 pub mod sweep;
 
 use plan::RunDigest;

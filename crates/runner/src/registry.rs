@@ -1,7 +1,6 @@
-//! The single authoritative list of experiments. The `domino-run` CLI,
-//! the thin per-experiment binaries in `crates/bench/src/bin/`, and the
-//! `--check` gate all iterate this table, so adding an experiment here
-//! is the only registration step.
+//! The single authoritative list of experiments. The `domino-run` CLI
+//! and the `--check` gate both iterate this table, so adding an
+//! experiment here is the only registration step.
 
 use crate::experiments as exp;
 use crate::plan::Plan;

@@ -10,7 +10,9 @@
 //! function of the run — a restored run's block byte-matches the
 //! uninterrupted run's, which is exactly what the CI gate diffs.
 
-use domino_core::{scenarios, FaultConfig, RunReport, Scheme, SimulationBuilder};
+use domino_core::{
+    scenarios, Checkpoints, FaultConfig, RunOptions, RunReport, Scheme, SimulationBuilder,
+};
 use domino_sim::SimTime;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -216,21 +218,26 @@ fn builder(args: &SimArgs) -> SimulationBuilder {
 pub fn run(args: &SimArgs) -> Result<SimOutcome, String> {
     let b = builder(args);
     let mut checkpoints = Vec::new();
-    let report = match &args.restore {
-        Some(path) => {
-            let sealed = std::fs::read(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            b.resume(args.scheme, &sealed)
-                .map_err(|e| format!("cannot resume from {}: {e:?}", path.display()))?
-        }
-        None => {
-            let state_dir = args.state_dir.clone();
-            b.run_checkpointed(args.scheme, &boundaries(args), &mut |t, sealed| {
-                let file = state_dir.join(format!("ckpt_{:012}.dsnp", t.as_nanos()));
-                checkpoints.push((file, sealed));
-            })
-        }
+    let sealed = match &args.restore {
+        Some(path) => Some(
+            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?,
+        ),
+        None => None,
     };
+    let state_dir = args.state_dir.clone();
+    let mut sink = |t: SimTime, sealed: Vec<u8>| {
+        let file = state_dir.join(format!("ckpt_{:012}.dsnp", t.as_nanos()));
+        checkpoints.push((file, sealed));
+    };
+    let at = boundaries(args);
+    let mut opts = RunOptions { restore: sealed.as_deref(), ..RunOptions::default() };
+    if sealed.is_none() {
+        opts.checkpoints = Some(Checkpoints { at: &at, sink: &mut sink });
+    }
+    let report = b.run_with(args.scheme, &mut opts).map_err(|e| match &args.restore {
+        Some(path) => format!("cannot resume from {}: {e:?}", path.display()),
+        None => format!("run failed: {e:?}"),
+    })?;
     Ok(SimOutcome { text: render_stats(args, &report), checkpoints })
 }
 

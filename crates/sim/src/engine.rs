@@ -232,6 +232,10 @@ impl<E> Engine<E> {
     /// Schedule `payload` at absolute time `at`.
     ///
     /// Panics if `at` is before the current time: the past is immutable.
+    ///
+    /// Forced inline for the same reason as the wheel's pop: every MAC
+    /// event handler schedules through it.
+    #[inline(always)]
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventHandle {
         assert!(at >= self.now(), "cannot schedule into the past: {at:?} < {:?}", self.now());
         EventHandle::pack(self.wheel.insert(at.as_nanos(), payload))
@@ -279,6 +283,7 @@ impl<E> Engine<E> {
     /// budget set by [`Engine::set_liveness`] is exhausted without the
     /// clock leaving the window. With no monitor armed this is exactly
     /// `pop_until`.
+    #[inline]
     pub fn pop_until_checked(
         &mut self,
         horizon: SimTime,

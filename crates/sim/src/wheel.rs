@@ -172,6 +172,7 @@ impl<E> TimerWheel<E> {
     /// Unlink node `idx` from its bucket, clearing the occupancy bit when
     /// the bucket empties. The node keeps its payload; the caller decides
     /// whether it is delivered or released.
+    #[inline(always)]
     fn unlink(&mut self, idx: u32) {
         let (bucket, prev, next) = {
             let n = &self.arena[idx as usize];
@@ -194,6 +195,7 @@ impl<E> TimerWheel<E> {
 
     /// Return node `idx` to the free list and bump its generation so every
     /// outstanding handle to it goes stale.
+    #[inline(always)]
     fn release(&mut self, idx: u32) {
         let n = &mut self.arena[idx as usize];
         n.gen = n.gen.wrapping_add(1);
@@ -298,6 +300,7 @@ impl<E> TimerWheel<E> {
     }
 
     /// Earliest pending timestamp, if any. Read-only.
+    #[inline(always)]
     pub(crate) fn peek_min(&self) -> Option<u64> {
         self.min_bucket().map(|b| self.min_in_bucket(b).1)
     }
@@ -311,6 +314,12 @@ impl<E> TimerWheel<E> {
     /// whole near-time cluster — into level 0, where this and subsequent
     /// deliveries are O(1) head removals instead of repeated scans of a
     /// populated high-level bucket.
+    ///
+    /// Forced inline, with its small helpers (not the cascade in
+    /// `advance`): this is the event loop's hottest path, and whether LLVM
+    /// inlines it into a scheme's loop otherwise depends on how many other
+    /// callers (snapshot drains) the build keeps alive.
+    #[inline(always)]
     pub(crate) fn pop_min_until(&mut self, horizon: u64) -> Option<(u64, E)> {
         let time = self.peek_min()?;
         if time > horizon {

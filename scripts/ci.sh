@@ -30,6 +30,12 @@ cargo run --release --offline -q -p domino-lint -- --json | diff -u results/lint
 echo "== tier-1: test =="
 cargo test -q --offline --workspace
 
+echo "== benchmark package: builds against the current API, tiny-horizon tests =="
+# perfbench/ is a package of its own (outside the workspace), so the
+# workspace sweep never compiles it. Its tests run every workload at a
+# tiny horizon: a builder-API break fails here, not in the benchmark run.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== golden gate: domino-run --check =="
 # Regenerates every experiment at quick scale across 2 workers and
 # byte-diffs against the committed results/ files. Output must be
