@@ -32,7 +32,7 @@ use domino_medium::{Frame, FrameBody, Medium, Reception};
 use domino_obs::{CostPath, FaultKind, TraceEvent, TraceHandle};
 use domino_scheduler::RandScheduler;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimDuration, SimTime};
+use domino_sim::{Engine, EventHandle, SimDuration, SimTime};
 use domino_topology::{ConflictGraph, Direction, LinkId, Network, NodeId};
 use domino_traffic::Packet;
 use domino_wired::{Backbone, WiredLatency};
@@ -76,15 +76,11 @@ pub enum CentaurEv {
     ApArm {
         /// AP node index.
         ap: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// An AP's ACK wait expires.
     ApAckTimeout {
         /// AP node index.
         ap: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// An AP's completion report reaches the controller.
     DoneArrive {
@@ -118,15 +114,13 @@ impl SnapValue for CentaurEv {
                     w.put_u32(l.0);
                 }
             }
-            CentaurEv::ApArm { ap, gen } => {
+            CentaurEv::ApArm { ap } => {
                 w.put_u8(1);
                 w.put_u32(*ap);
-                w.put_u64(*gen);
             }
-            CentaurEv::ApAckTimeout { ap, gen } => {
+            CentaurEv::ApAckTimeout { ap } => {
                 w.put_u8(2);
                 w.put_u32(*ap);
-                w.put_u64(*gen);
             }
             CentaurEv::DoneArrive { ap, epoch } => {
                 w.put_u8(3);
@@ -153,8 +147,8 @@ impl SnapValue for CentaurEv {
                 }
                 CentaurEv::EpochArrive { ap, epoch, assignments }
             }
-            1 => CentaurEv::ApArm { ap: r.get_u32()?, gen: r.get_u64()? },
-            2 => CentaurEv::ApAckTimeout { ap: r.get_u32()?, gen: r.get_u64()? },
+            1 => CentaurEv::ApArm { ap: r.get_u32()? },
+            2 => CentaurEv::ApAckTimeout { ap: r.get_u32()? },
             3 => CentaurEv::DoneArrive { ap: r.get_u32()?, epoch: r.get_u64()? },
             4 => CentaurEv::ControllerCheck,
             5 => CentaurEv::EpochTimeout { epoch: r.get_u64()? },
@@ -212,7 +206,8 @@ struct ApState {
     current: Option<Packet>,
     current_link: Option<LinkId>,
     retries: u32,
-    gen: u64,
+    /// The pending arm or ACK timer (at most one is armed).
+    timer: Option<EventHandle>,
     arm_expiry: SimTime,
     last_busy: bool,
     /// NAV-adjusted time reference shared by aligned APs: the last sensed
@@ -220,13 +215,6 @@ struct ApState {
     /// that ended was a data frame (whose duration field reserves the
     /// channel through its ACK).
     nav_anchor: SimTime,
-}
-
-impl ApState {
-    fn invalidate(&mut self) -> u64 {
-        self.gen += 1;
-        self.gen
-    }
 }
 
 impl SnapValue for ApState {
@@ -240,7 +228,7 @@ impl SnapValue for ApState {
         self.current.put(w);
         self.current_link.map(|l| l.0).put(w);
         w.put_u32(self.retries);
-        w.put_u64(self.gen);
+        self.timer.put(w);
         self.arm_expiry.put(w);
         self.last_busy.put(w);
         self.nav_anchor.put(w);
@@ -259,7 +247,7 @@ impl SnapValue for ApState {
             current: SnapValue::thaw(r)?,
             current_link: Option::<u32>::thaw(r)?.map(LinkId),
             retries: r.get_u32()?,
-            gen: r.get_u64()?,
+            timer: SnapValue::thaw(r)?,
             arm_expiry: SnapValue::thaw(r)?,
             last_busy: SnapValue::thaw(r)?,
             nav_anchor: SnapValue::thaw(r)?,
@@ -340,7 +328,7 @@ impl World for CentaurWorld {
                 current: None,
                 current_link: None,
                 retries: 0,
-                gen: 0,
+                timer: None,
                 arm_expiry: SimTime::ZERO,
                 last_busy: false,
                 nav_anchor: SimTime::ZERO,
@@ -391,10 +379,9 @@ impl World for CentaurWorld {
     fn handle(&mut self, now: SimTime, ev: Ev<CentaurEv>) {
         match ev {
             Ev::Traffic(ev) => self.csma.on_traffic(ev, now, &mut self.core),
-            Ev::BackoffExpire { node, gen } => {
+            Ev::BackoffExpire { node } => {
                 self.csma.on_backoff_expire(
                     node as usize,
-                    gen,
                     now,
                     &mut self.core.engine,
                     &mut self.core.medium,
@@ -422,10 +409,9 @@ impl World for CentaurWorld {
                     SimDuration::ZERO,
                 );
             }
-            Ev::AckTimeout { node, gen } => {
+            Ev::AckTimeout { node } => {
                 self.csma.on_ack_timeout(
                     node as usize,
-                    gen,
                     now,
                     &mut self.core.engine,
                     &self.core.medium,
@@ -436,11 +422,10 @@ impl World for CentaurWorld {
             Ev::Scheme(CentaurEv::EpochArrive { ap, epoch, assignments }) => {
                 self.on_epoch_arrive(ap, epoch, assignments, now);
             }
-            Ev::Scheme(CentaurEv::ApArm { ap, gen }) => {
+            Ev::Scheme(CentaurEv::ApArm { ap }) => {
                 ap_arm_fired(
                     &self.core.net,
                     ap as usize,
-                    gen,
                     now,
                     &mut self.core.engine,
                     &mut self.core.medium,
@@ -461,11 +446,11 @@ impl World for CentaurWorld {
                     SimDuration::ZERO,
                 );
             }
-            Ev::Scheme(CentaurEv::ApAckTimeout { ap, gen }) => {
+            Ev::Scheme(CentaurEv::ApAckTimeout { ap }) => {
                 let needs = {
                     // lint: allow(D005) ack timeouts are armed only for AP indices
                     let st = self.ap_states[ap as usize].as_mut().unwrap();
-                    if st.gen != gen || st.phase != ApPhase::AwaitAck {
+                    if st.phase != ApPhase::AwaitAck {
                         false
                     } else {
                         self.core.fe.stats.ack_timeouts += 1;
@@ -612,10 +597,10 @@ impl CentaurWorld {
                         .filter(|s| s.phase == ApPhase::Transmitting);
                     if let Some(st) = scheduled_ap {
                         st.phase = ApPhase::AwaitAck;
-                        let gen = st.invalidate();
-                        self.core.engine.schedule_at(
+                        self.core.engine.rearm(
+                            &mut st.timer,
                             now + ack_timeout(self.rate),
-                            Ev::Scheme(CentaurEv::ApAckTimeout { ap: src.0, gen }),
+                            Ev::Scheme(CentaurEv::ApAckTimeout { ap: src.0 }),
                         );
                     } else if self.ap_states[src.index()].is_none() {
                         self.csma.after_data_tx(src.index(), now, &mut self.core.engine);
@@ -683,7 +668,7 @@ impl CentaurWorld {
             st.current_link = None;
             st.retries = 0;
             st.phase = ApPhase::Idle;
-            st.invalidate();
+            self.core.engine.disarm(&mut st.timer);
             self.ap_dark_until[apx] = now + downtime;
             self.ap_crashed[apx] = true;
             return;
@@ -871,8 +856,7 @@ fn arm_if_idle(
     // fire at the same instant regardless of which frames each could
     // hear.
     st.arm_expiry = (st.nav_anchor + fixed_wait).max(now);
-    let gen = st.invalidate();
-    engine.schedule_at(st.arm_expiry, Ev::Scheme(CentaurEv::ApArm { ap: ap as u32, gen }));
+    engine.rearm(&mut st.timer, st.arm_expiry, Ev::Scheme(CentaurEv::ApArm { ap: ap as u32 }));
 }
 
 /// Busy/idle scan for all scheduled APs. `nav_extension` is added to the
@@ -909,7 +893,7 @@ fn scan_aps(
                 st.arm_expiry == now && !medium.is_busy_before_instant(ap, now);
             if st.phase == ApPhase::Armed && !simultaneous_start {
                 st.phase = ApPhase::WaitIdle;
-                st.invalidate();
+                engine.disarm(&mut st.timer);
             }
         } else if st.phase == ApPhase::WaitIdle {
             arm_if_idle(st, ap.index(), now, engine, medium, fixed_wait);
@@ -922,7 +906,6 @@ fn scan_aps(
 fn ap_arm_fired(
     _net: &Network,
     ap: usize,
-    gen: u64,
     now: SimTime,
     engine: &mut Engine<Ev<CentaurEv>>,
     medium: &mut Medium,
@@ -935,7 +918,7 @@ fn ap_arm_fired(
     let packet = {
         // lint: allow(D005) ApArm events are scheduled for AP indices only
         let st = ap_states[ap].as_mut().unwrap();
-        if st.gen != gen || st.phase != ApPhase::Armed {
+        if st.phase != ApPhase::Armed {
             return;
         }
         if medium.is_busy_before_instant(NodeId(ap as u32), now) {
@@ -1006,7 +989,7 @@ fn handle_ap_ack(
             st.current_link = None;
             st.retries = 0;
             st.phase = ApPhase::WaitIdle;
-            st.invalidate();
+            engine.disarm(&mut st.timer);
             true
         }
         _ => false,

@@ -18,7 +18,7 @@ use domino_obs::{CostPath, TraceHandle};
 use domino_phy::error_model::DataRate;
 use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimRng, SimTime};
+use domino_sim::{Engine, EventHandle, SimRng, SimTime};
 use domino_topology::{LinkId, Network, NodeId};
 use domino_traffic::Packet;
 
@@ -33,19 +33,15 @@ pub enum Ev<X> {
         /// Medium handle.
         tx: TxId,
     },
-    /// A node's backoff may have reached zero.
+    /// A node's backoff reached zero.
     BackoffExpire {
         /// Node index.
         node: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// A data sender's ACK wait expires.
     AckTimeout {
         /// Node index.
         node: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// A receiver's SIFS elapsed; transmit the ACK.
     SendAck {
@@ -92,15 +88,13 @@ impl<X: SnapValue> SnapValue for Ev<X> {
                 w.put_u8(3);
                 tx.put(w);
             }
-            Ev::BackoffExpire { node, gen } => {
+            Ev::BackoffExpire { node } => {
                 w.put_u8(4);
                 w.put_u32(*node);
-                w.put_u64(*gen);
             }
-            Ev::AckTimeout { node, gen } => {
+            Ev::AckTimeout { node } => {
                 w.put_u8(5);
                 w.put_u32(*node);
-                w.put_u64(*gen);
             }
             Ev::SendAck { rx, packet } => {
                 w.put_u8(6);
@@ -117,8 +111,8 @@ impl<X: SnapValue> SnapValue for Ev<X> {
         Ok(match r.get_u8()? {
             0 => Ev::Traffic(SnapValue::thaw(r)?),
             3 => Ev::TxEnd { tx: SnapValue::thaw(r)? },
-            4 => Ev::BackoffExpire { node: r.get_u32()?, gen: r.get_u64()? },
-            5 => Ev::AckTimeout { node: r.get_u32()?, gen: r.get_u64()? },
+            4 => Ev::BackoffExpire { node: r.get_u32()? },
+            5 => Ev::AckTimeout { node: r.get_u32()? },
             6 => Ev::SendAck { rx: r.get_u32()?, packet: SnapValue::thaw(r)? },
             7 => Ev::Scheme(SnapValue::thaw(r)?),
             _ => return Err(SnapError::Corrupt("csma event tag")),
@@ -170,14 +164,8 @@ struct CsmaNode {
     remaining_slots: Option<u32>,
     state: NodeState,
     current: Option<Packet>,
-    gen: u64,
-}
-
-impl CsmaNode {
-    fn invalidate(&mut self) -> u64 {
-        self.gen += 1;
-        self.gen
-    }
+    /// The pending backoff or ACK timer (at most one is armed).
+    timer: Option<EventHandle>,
 }
 
 /// The CSMA/CA contention machinery for a set of contending nodes.
@@ -202,7 +190,7 @@ impl CsmaCore {
                 remaining_slots: None,
                 state: NodeState::Idle,
                 current: None,
-                gen: 0,
+                timer: None,
             })
             .collect();
         let mut contender = vec![false; net.num_nodes()];
@@ -273,12 +261,11 @@ impl CsmaCore {
         }
         let remaining = self.nodes[node].remaining_slots.unwrap_or(0);
         self.nodes[node].state = NodeState::Counting { anchor: Some(now) };
-        let gen = self.nodes[node].invalidate();
         let expire = now + DIFS + SLOT_TIME * u64::from(remaining);
-        engine.schedule_at(expire, Ev::BackoffExpire { node: node as u32, gen });
+        engine.rearm(&mut self.nodes[node].timer, expire, Ev::BackoffExpire { node: node as u32 });
     }
 
-    fn freeze(&mut self, node: usize, now: SimTime) {
+    fn freeze<X>(&mut self, node: usize, now: SimTime, engine: &mut Engine<Ev<X>>) {
         if let NodeState::Counting { anchor: Some(anchor) } = self.nodes[node].state {
             let elapsed = now.saturating_since(anchor);
             let slots_done = elapsed
@@ -288,7 +275,7 @@ impl CsmaCore {
             let rem = self.nodes[node].remaining_slots.unwrap_or(0);
             self.nodes[node].remaining_slots = Some(rem.saturating_sub(slots_done));
             self.nodes[node].state = NodeState::Counting { anchor: None };
-            self.nodes[node].invalidate();
+            engine.disarm(&mut self.nodes[node].timer);
         }
     }
 
@@ -305,26 +292,23 @@ impl CsmaCore {
             }
             self.last_busy[node] = busy;
             if busy {
-                self.freeze(node, now);
+                self.freeze(node, now, engine);
             } else if matches!(self.nodes[node].state, NodeState::Counting { anchor: None }) {
                 self.resume(node, now, engine, medium);
             }
         }
     }
 
-    /// A backoff timer fired: transmit if still valid.
+    /// A backoff timer fired: transmit if the node is still counting.
     pub fn on_backoff_expire<X>(
         &mut self,
         node: usize,
-        gen: u64,
         now: SimTime,
         engine: &mut Engine<Ev<X>>,
         medium: &mut Medium,
         fe: &mut FlowEngine,
     ) {
-        if self.nodes[node].gen != gen
-            || !matches!(self.nodes[node].state, NodeState::Counting { anchor: Some(_) })
-        {
+        if !matches!(self.nodes[node].state, NodeState::Counting { anchor: Some(_) }) {
             return;
         }
         // A transmission that started at this very instant is invisible
@@ -332,7 +316,7 @@ impl CsmaCore {
         // that is exactly how same-slot DCF collisions happen. Busy from
         // *earlier* transmissions means our freeze lost a race; re-wait.
         if medium.is_busy_before_instant(NodeId(node as u32), now) {
-            self.freeze(node, now);
+            self.freeze(node, now, engine);
             return;
         }
         // Claim the head packet (pop it from its queue on first attempt).
@@ -374,10 +358,10 @@ impl CsmaCore {
     ) {
         debug_assert_eq!(self.nodes[sender].state, NodeState::Transmitting);
         self.nodes[sender].state = NodeState::AwaitAck;
-        let gen = self.nodes[sender].invalidate();
-        engine.schedule_at(
+        engine.rearm(
+            &mut self.nodes[sender].timer,
             now + ack_timeout(self.rate),
-            Ev::AckTimeout { node: sender as u32, gen },
+            Ev::AckTimeout { node: sender as u32 },
         );
     }
 
@@ -456,7 +440,7 @@ impl CsmaCore {
                 self.nodes[node].retries = 0;
                 self.nodes[node].remaining_slots = None;
                 self.nodes[node].state = NodeState::Idle;
-                self.nodes[node].invalidate(); // cancels the pending timeout
+                engine.disarm(&mut self.nodes[node].timer);
                 self.try_start(node, now, engine, medium, fe);
                 true
             }
@@ -468,13 +452,12 @@ impl CsmaCore {
     pub fn on_ack_timeout<X>(
         &mut self,
         node: usize,
-        gen: u64,
         now: SimTime,
         engine: &mut Engine<Ev<X>>,
         medium: &Medium,
         fe: &mut FlowEngine,
     ) {
-        if self.nodes[node].gen != gen || self.nodes[node].state != NodeState::AwaitAck {
+        if self.nodes[node].state != NodeState::AwaitAck {
             return;
         }
         fe.stats.ack_timeouts += 1;
@@ -490,7 +473,6 @@ impl CsmaCore {
         }
         self.nodes[node].remaining_slots = None;
         self.nodes[node].state = NodeState::Idle;
-        self.nodes[node].invalidate();
         self.try_start(node, now, engine, medium, fe);
     }
 
@@ -543,7 +525,7 @@ impl Snapshot for CsmaCore {
             n.remaining_slots.put(w);
             n.state.put(w);
             n.current.put(w);
-            w.put_u64(n.gen);
+            n.timer.put(w);
         }
         self.last_busy.put(w);
         self.rng.put(w);
@@ -558,7 +540,7 @@ impl Snapshot for CsmaCore {
             n.remaining_slots = SnapValue::thaw(r)?;
             n.state = SnapValue::thaw(r)?;
             n.current = SnapValue::thaw(r)?;
-            n.gen = r.get_u64()?;
+            n.timer = SnapValue::thaw(r)?;
         }
         let last_busy: Vec<bool> = SnapValue::thaw(r)?;
         if last_busy.len() != self.last_busy.len() {
@@ -600,10 +582,9 @@ impl World for DcfWorld {
         let c = &mut self.core;
         match ev {
             Ev::Traffic(ev) => self.csma.on_traffic(ev, now, c),
-            Ev::BackoffExpire { node, gen } => {
+            Ev::BackoffExpire { node } => {
                 self.csma.on_backoff_expire(
                     node as usize,
-                    gen,
                     now,
                     &mut c.engine,
                     &mut c.medium,
@@ -645,10 +626,9 @@ impl World for DcfWorld {
             Ev::SendAck { rx, packet } => {
                 self.csma.send_ack(rx as usize, &packet, now, &mut c.engine, &mut c.medium);
             }
-            Ev::AckTimeout { node, gen } => {
+            Ev::AckTimeout { node } => {
                 self.csma.on_ack_timeout(
                     node as usize,
-                    gen,
                     now,
                     &mut c.engine,
                     &c.medium,

@@ -39,7 +39,7 @@ use domino_scheduler::{
 };
 use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{SimDuration, SimTime};
+use domino_sim::{EventHandle, SimDuration, SimTime};
 use domino_topology::{ConflictGraph, Direction, LinkId, NodeId};
 use domino_traffic::{Packet, PacketKind};
 use domino_wired::{Backbone, WiredLatency};
@@ -153,18 +153,12 @@ pub enum DEv {
         /// Reported queue length.
         queue: u32,
     },
-    /// Controller computes and dispatches the next batch (stale
-    /// generations are ignored).
-    ControllerCompute {
-        /// Staleness guard.
-        gen: u64,
-    },
+    /// Controller computes and dispatches the next batch.
+    ControllerCompute,
     /// A triggered node's slot begins.
     SlotStart {
         /// Triggered node.
         node: u32,
-        /// Staleness guard.
-        gen: u64,
         /// Slot id.
         slot: u64,
     },
@@ -188,8 +182,6 @@ pub enum DEv {
     AckCheck {
         /// Sending node.
         node: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// A client answers a poll with its share of the ROP symbol.
     RopAnswer {
@@ -202,8 +194,6 @@ pub enum DEv {
     Watchdog {
         /// Waiting AP.
         ap: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// An untriggerable entry's estimated slot time arrived.
     KickOff {
@@ -242,13 +232,11 @@ pub enum DEv {
 struct NodeRt {
     /// AP program (empty for clients).
     program: VecDeque<ApAction>,
-    /// Generation counter for SlotStart staleness.
-    gen: u64,
-    /// Watchdog generation: bumped on every progress point so stale
-    /// watchdog timers die.
-    wd_gen: u64,
-    /// A SlotStart is pending (for last-trigger re-anchoring).
-    pending_start: bool,
+    /// The pending SlotStart, if any: a later trigger cancels and
+    /// re-anchors it (last trigger wins).
+    start: Option<EventHandle>,
+    /// The pending self-start watchdog, re-armed at every progress point.
+    watchdog: Option<EventHandle>,
     /// End of this node's current exchange: its correlator is not armed
     /// while it is mid-slot, so triggers arriving before this instant are
     /// ignored (this is also what absorbs the second of the two assigned
@@ -259,13 +247,6 @@ struct NodeRt {
     unacked: Option<Packet>,
     /// The pending packet's ACK arrived.
     acked: bool,
-}
-
-impl NodeRt {
-    fn bump(&mut self) -> u64 {
-        self.gen += 1;
-        self.gen
-    }
 }
 
 // ------------------------------------------------- snapshot encodings
@@ -339,9 +320,8 @@ impl SnapValue for ApMessage {
 impl SnapValue for NodeRt {
     fn put(&self, w: &mut SnapWriter) {
         self.program.put(w);
-        w.put_u64(self.gen);
-        w.put_u64(self.wd_gen);
-        self.pending_start.put(w);
+        self.start.put(w);
+        self.watchdog.put(w);
         self.busy_until.put(w);
         self.unacked.put(w);
         self.acked.put(w);
@@ -350,9 +330,8 @@ impl SnapValue for NodeRt {
     fn thaw(r: &mut SnapReader<'_>) -> Result<NodeRt, SnapError> {
         Ok(NodeRt {
             program: SnapValue::thaw(r)?,
-            gen: r.get_u64()?,
-            wd_gen: r.get_u64()?,
-            pending_start: SnapValue::thaw(r)?,
+            start: SnapValue::thaw(r)?,
+            watchdog: SnapValue::thaw(r)?,
             busy_until: SnapValue::thaw(r)?,
             unacked: SnapValue::thaw(r)?,
             acked: SnapValue::thaw(r)?,
@@ -387,14 +366,10 @@ impl SnapValue for DEv {
                 w.put_u32(*link);
                 w.put_u32(*queue);
             }
-            DEv::ControllerCompute { gen } => {
-                w.put_u8(6);
-                w.put_u64(*gen);
-            }
-            DEv::SlotStart { node, gen, slot } => {
+            DEv::ControllerCompute => w.put_u8(6),
+            DEv::SlotStart { node, slot } => {
                 w.put_u8(7);
                 w.put_u32(*node);
-                w.put_u64(*gen);
                 w.put_u64(*slot);
             }
             DEv::SendBurst { node, burst } => {
@@ -408,20 +383,18 @@ impl SnapValue for DEv {
                 packet.put(w);
                 client_burst.put(w);
             }
-            DEv::AckCheck { node, gen } => {
+            DEv::AckCheck { node } => {
                 w.put_u8(10);
                 w.put_u32(*node);
-                w.put_u64(*gen);
             }
             DEv::RopAnswer { client, ap } => {
                 w.put_u8(11);
                 w.put_u32(*client);
                 w.put_u32(*ap);
             }
-            DEv::Watchdog { ap, gen } => {
+            DEv::Watchdog { ap } => {
                 w.put_u8(12);
                 w.put_u32(*ap);
-                w.put_u64(*gen);
             }
             DEv::KickOff { ap, slot } => {
                 w.put_u8(13);
@@ -450,17 +423,17 @@ impl SnapValue for DEv {
             3 => DEv::TxEnd { tx: SnapValue::thaw(r)? },
             4 => DEv::BatchArrive { ap: r.get_u32()?, msg: SnapValue::thaw(r)? },
             5 => DEv::ReportArrive { link: r.get_u32()?, queue: r.get_u32()? },
-            6 => DEv::ControllerCompute { gen: r.get_u64()? },
-            7 => DEv::SlotStart { node: r.get_u32()?, gen: r.get_u64()?, slot: r.get_u64()? },
+            6 => DEv::ControllerCompute,
+            7 => DEv::SlotStart { node: r.get_u32()?, slot: r.get_u64()? },
             8 => DEv::SendBurst { node: r.get_u32()?, burst: SnapValue::thaw(r)? },
             9 => DEv::SendAck {
                 rx: r.get_u32()?,
                 packet: SnapValue::thaw(r)?,
                 client_burst: SnapValue::thaw(r)?,
             },
-            10 => DEv::AckCheck { node: r.get_u32()?, gen: r.get_u64()? },
+            10 => DEv::AckCheck { node: r.get_u32()? },
             11 => DEv::RopAnswer { client: r.get_u32()?, ap: r.get_u32()? },
-            12 => DEv::Watchdog { ap: r.get_u32()?, gen: r.get_u64()? },
+            12 => DEv::Watchdog { ap: r.get_u32()? },
             13 => DEv::KickOff { ap: r.get_u32()?, slot: r.get_u64()? },
             14 => DEv::CtrlHeartbeat,
             15 => DEv::CtrlCheckpoint,
@@ -495,8 +468,9 @@ pub struct DominoWorld {
     signature_of: Vec<u32>,
     /// Trigger-chain diagnostics, reported on the run's `RunStats`.
     counters: DominoCounters,
-    /// Controller pacing: generation of the next accepted compute event.
-    compute_gen: u64,
+    /// Controller pacing: the pending compute event, re-armed by every
+    /// pacing decision.
+    compute: Option<EventHandle>,
     /// The controller waits for the first ROP report of the current
     /// batch before computing the next one (with a time fallback).
     awaiting_report: bool,
@@ -592,7 +566,7 @@ impl World for DominoWorld {
         standby_bb.set_loss(faults.wired_loss);
         standby_bb.set_spikes(faults.wired_spike, faults.wired_spike_us);
         let engine = &mut core.engine;
-        engine.schedule_at(SimTime::ZERO, DEv::ControllerCompute { gen: 0 });
+        let compute = Some(engine.schedule_at(SimTime::ZERO, DEv::ControllerCompute));
         let hb_every = SimDuration::from_secs_f64(faults.standby_heartbeat_us * 1e-6);
         let ckpt_every = SimDuration::from_secs_f64(faults.standby_checkpoint_us * 1e-6);
         if faults.standby {
@@ -609,9 +583,8 @@ impl World for DominoWorld {
         let nodes = (0..net.num_nodes())
             .map(|_| NodeRt {
                 program: VecDeque::new(),
-                gen: 0,
-                wd_gen: 0,
-                pending_start: false,
+                start: None,
+                watchdog: None,
                 busy_until: SimTime::ZERO,
                 unacked: None,
                 acked: false,
@@ -635,7 +608,7 @@ impl World for DominoWorld {
             next_slot_id: 0,
             signature_of,
             counters: DominoCounters::default(),
-            compute_gen: 0,
+            compute,
             awaiting_report: false,
             dispatch_time: SimTime::ZERO,
             exec_estimate: SimDuration::ZERO,
@@ -683,7 +656,7 @@ impl World for DominoWorld {
             DEv::TxEnd { .. } => CostPath::EvMedium,
             DEv::BatchArrive { .. }
             | DEv::ReportArrive { .. }
-            | DEv::ControllerCompute { .. } => CostPath::EvController,
+            | DEv::ControllerCompute => CostPath::EvController,
             DEv::SlotStart { .. }
             | DEv::SendBurst { .. }
             | DEv::SendAck { .. }
@@ -734,7 +707,7 @@ impl World for DominoWorld {
         self.nodes.put(w);
         w.put_u64(self.next_slot_id);
         self.counters.put(w);
-        w.put_u64(self.compute_gen);
+        self.compute.put(w);
         self.awaiting_report.put(w);
         self.dispatch_time.put(w);
         self.exec_estimate.put(w);
@@ -766,7 +739,7 @@ impl World for DominoWorld {
         self.nodes = nodes;
         self.next_slot_id = r.get_u64()?;
         self.counters = SnapValue::thaw(r)?;
-        self.compute_gen = r.get_u64()?;
+        self.compute = SnapValue::thaw(r)?;
         self.awaiting_report = SnapValue::thaw(r)?;
         self.dispatch_time = SnapValue::thaw(r)?;
         self.exec_estimate = SnapValue::thaw(r)?;
@@ -818,8 +791,8 @@ impl DominoWorld {
         });
         self.awaiting_report = false;
         self.last_crash_at = now;
-        // The dead incarnation's pending compute timers die with it.
-        self.compute_gen += 1;
+        // The dead incarnation's pending compute timer dies with it.
+        self.core.engine.disarm(&mut self.compute);
         if self.standby_on {
             self.ctrl_down = true;
             return;
@@ -829,8 +802,7 @@ impl DominoWorld {
         self.converter = Converter::new(self.cfg.converter.clone());
         self.core.fe.stats.faults.recovery_ns += downtime.as_nanos();
         self.ctrl_dark_until = now + downtime;
-        self.core.engine
-            .schedule_at(self.ctrl_dark_until, DEv::ControllerCompute { gen: self.compute_gen });
+        self.core.engine.rearm(&mut self.compute, self.ctrl_dark_until, DEv::ControllerCompute);
     }
 
     /// The standby's failure detector fired: take over. Rebuild the
@@ -866,9 +838,7 @@ impl DominoWorld {
         self.ctrl_dark_until = promotion_end;
         self.hb_missed = 0;
         self.hb_seen = false;
-        self.compute_gen += 1;
-        self.core.engine
-            .schedule_at(promotion_end, DEv::ControllerCompute { gen: self.compute_gen });
+        self.core.engine.rearm(&mut self.compute, promotion_end, DEv::ControllerCompute);
     }
 
     // ------------------------------------------------------- controller
@@ -940,11 +910,8 @@ impl DominoWorld {
         let n_slots = outcome.batch.slots.len();
         if n_slots == 0 && outcome.batch.connecting_rop.is_none() {
             self.outcome_buf = outcome;
-            self.compute_gen += 1;
-            self.core.engine.schedule_in(
-                SimDuration::from_millis(1),
-                DEv::ControllerCompute { gen: self.compute_gen },
-            );
+            let at = now + SimDuration::from_millis(1);
+            self.core.engine.rearm(&mut self.compute, at, DEv::ControllerCompute);
             return;
         }
 
@@ -1004,9 +971,7 @@ impl DominoWorld {
         self.awaiting_report = true;
         self.dispatch_time = now;
         self.exec_estimate = exec;
-        self.compute_gen += 1;
-        self.core.engine
-            .schedule_in(fallback, DEv::ControllerCompute { gen: self.compute_gen });
+        self.core.engine.rearm(&mut self.compute, now + fallback, DEv::ControllerCompute);
         self.outcome_buf = outcome;
     }
 
@@ -1203,8 +1168,8 @@ impl DominoWorld {
         }
         if let Some(downtime) = self.core.node_faults.crash() {
             // Crash with state loss: the program, pending starts, and the
-            // unacked frame are gone; generation bumps retire every timer
-            // the old incarnation armed. The AP rejoins lazily — the
+            // unacked frame are gone; the old incarnation's slot-start and
+            // watchdog timers are cancelled. The AP rejoins lazily — the
             // first batch delivered after the downtime restarts it.
             self.core.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
                 kind: FaultKind::ApCrash,
@@ -1212,11 +1177,10 @@ impl DominoWorld {
             });
             let rt = &mut self.nodes[ap];
             rt.program.clear();
-            rt.pending_start = false;
             rt.unacked = None;
             rt.acked = false;
-            rt.bump();
-            rt.wd_gen += 1;
+            self.core.engine.disarm(&mut rt.start);
+            self.core.engine.disarm(&mut rt.watchdog);
             self.ap_dark_until[ap] = now + downtime;
             self.ap_crashed[ap] = true;
             return;
@@ -1263,7 +1227,7 @@ impl DominoWorld {
         self.action_pool.push(actions);
         self.retained_pool.push(retained_updates);
 
-        if was_idle && head_is_first && !self.nodes[ap].pending_start {
+        if was_idle && head_is_first && self.nodes[ap].start.is_none() {
             // Chain (re)start: APs begin individually (paper §3.3);
             // relative scheduling heals the misalignment (§4.2.2).
             self.self_start(now, ap);
@@ -1280,7 +1244,6 @@ impl DominoWorld {
         };
         match head.kind {
             ApActionKind::RxData { link } => {
-                self.nodes[ap].bump(); // retire stacked watchdogs
                 let client = self.core.net.link(link).client();
                 let burst = Burst {
                     codes: InlineVec::of(self.signature_of[client.index()]),
@@ -1303,10 +1266,8 @@ impl DominoWorld {
         if self.nodes[ap].program.is_empty() {
             return;
         }
-        self.nodes[ap].wd_gen += 1;
-        let gen = self.nodes[ap].wd_gen;
-        self.core.engine
-            .schedule_at(now + self.cfg.watchdog, DEv::Watchdog { ap: ap as u32, gen });
+        let at = now + self.cfg.watchdog;
+        self.core.engine.rearm(&mut self.nodes[ap].watchdog, at, DEv::Watchdog { ap: ap as u32 });
     }
 
     /// A node detected its own signature in a burst: (re-)anchor its slot
@@ -1341,10 +1302,8 @@ impl DominoWorld {
     /// Commit a (re-)anchored slot start for `node` at `at`, superseding
     /// any earlier pending start (last trigger wins, §3.4).
     fn schedule_start(&mut self, at: SimTime, node: usize, slot: u64) {
-        let gen = self.nodes[node].bump();
-        self.nodes[node].pending_start = true;
-        self.core.engine
-            .schedule_at(at, DEv::SlotStart { node: node as u32, gen, slot });
+        let ev = DEv::SlotStart { node: node as u32, slot };
+        self.core.engine.rearm(&mut self.nodes[node].start, at, ev);
     }
 
     /// Self-trigger: the node finishing slot `s` (which started at
@@ -1362,11 +1321,8 @@ impl DominoWorld {
         self.schedule_start(at, node, next_slot);
     }
 
-    fn on_slot_start(&mut self, now: SimTime, node: usize, gen: u64, slot: u64) {
-        if self.nodes[node].gen != gen {
-            return;
-        }
-        self.nodes[node].pending_start = false;
+    fn on_slot_start(&mut self, now: SimTime, node: usize, slot: u64) {
+        self.nodes[node].start = None;
         if self.core.medium.is_transmitting(NodeId(node as u32)) {
             return;
         }
@@ -1546,10 +1502,9 @@ impl DominoWorld {
             Some(p) => {
                 self.nodes[sender.index()].unacked = Some(p);
                 self.nodes[sender.index()].acked = false;
-                let gen = self.nodes[sender.index()].gen;
                 self.core.engine.schedule_at(
                     now + self.geo.ack_start + self.geo.ack_airtime + SLOT_TIME,
-                    DEv::AckCheck { node: sender.0, gen },
+                    DEv::AckCheck { node: sender.0 },
                 );
                 (
                     Frame {
@@ -1857,7 +1812,7 @@ impl DominoWorld {
             .schedule_at(now + crate::timing::BURST_DURATION, DEv::TxEnd { tx });
     }
 
-    fn on_ack_check(&mut self, _now: SimTime, node: usize, _gen: u64) {
+    fn on_ack_check(&mut self, node: usize) {
         if self.nodes[node].acked {
             self.nodes[node].acked = false;
             return;
@@ -1906,11 +1861,11 @@ impl DominoWorld {
         self.core.engine.schedule_at(now + ROP_SYMBOL, DEv::TxEnd { tx });
     }
 
-    fn on_watchdog(&mut self, now: SimTime, ap: usize, gen: u64) {
-        if self.nodes[ap].wd_gen != gen || self.nodes[ap].program.is_empty() {
+    fn on_watchdog(&mut self, now: SimTime, ap: usize) {
+        if self.nodes[ap].program.is_empty() {
             return;
         }
-        if self.nodes[ap].pending_start {
+        if self.nodes[ap].start.is_some() {
             self.arm_watchdog(now, ap);
             return;
         }
@@ -1918,11 +1873,8 @@ impl DominoWorld {
         // exchange we are part of (e.g. the uplink data we are waiting
         // for is in flight right now — a burst would deafen us to it).
         if self.core.medium.is_busy(NodeId(ap as u32)) {
-            let gen = self.nodes[ap].wd_gen;
-            self.core.engine.schedule_at(
-                now + SimDuration::from_micros(200),
-                DEv::Watchdog { ap: ap as u32, gen },
-            );
+            let at = now + SimDuration::from_micros(200);
+            self.core.engine.rearm(&mut self.nodes[ap].watchdog, at, DEv::Watchdog { ap: ap as u32 });
             return;
         }
         // A receive head that has been stalled for a whole watchdog
@@ -1956,7 +1908,7 @@ impl DominoWorld {
     /// An untriggerable entry's estimated time arrived: start it unless a
     /// real trigger already did (or the channel is mid-exchange).
     fn on_kick_off(&mut self, now: SimTime, ap: usize, slot: u64) {
-        if self.nodes[ap].pending_start || now < self.nodes[ap].busy_until {
+        if self.nodes[ap].start.is_some() || now < self.nodes[ap].busy_until {
             return; // a trigger beat us to it
         }
         let Some(head) = self.nodes[ap].program.front().cloned() else {
@@ -2020,13 +1972,11 @@ impl DominoWorld {
                         + self.geo.total;
                     let at = (now + self.post_poll_exec.saturating_sub(lead))
                         .max(now + SimDuration::from_micros(150));
-                    self.compute_gen += 1;
-                    self.core.engine
-                        .schedule_at(at, DEv::ControllerCompute { gen: self.compute_gen });
+                    self.core.engine.rearm(&mut self.compute, at, DEv::ControllerCompute);
                 }
             }
-            DEv::ControllerCompute { gen } => {
-                if gen == self.compute_gen && self.ctrl_alive(now) {
+            DEv::ControllerCompute => {
+                if self.ctrl_alive(now) {
                     // The crash draw sits at the accept site so the class
                     // costs zero RNG draws when it is off.
                     if let Some(downtime) = self.core.node_faults.ctrl_crash() {
@@ -2036,18 +1986,16 @@ impl DominoWorld {
                     }
                 }
             }
-            DEv::SlotStart { node, gen, slot } => {
-                self.on_slot_start(now, node as usize, gen, slot)
-            }
+            DEv::SlotStart { node, slot } => self.on_slot_start(now, node as usize, slot),
             DEv::SendBurst { node, burst } => self.on_send_burst(now, node as usize, burst),
             DEv::SendAck { rx, packet, client_burst } => {
                 self.on_send_ack(now, rx as usize, packet, client_burst)
             }
-            DEv::AckCheck { node, gen } => self.on_ack_check(now, node as usize, gen),
+            DEv::AckCheck { node } => self.on_ack_check(node as usize),
             DEv::RopAnswer { client, ap } => {
                 self.on_rop_answer(now, client as usize, ap as usize)
             }
-            DEv::Watchdog { ap, gen } => self.on_watchdog(now, ap as usize, gen),
+            DEv::Watchdog { ap } => self.on_watchdog(now, ap as usize),
             DEv::KickOff { ap, slot } => self.on_kick_off(now, ap as usize, slot),
             DEv::CtrlHeartbeat => {
                 // The timer survives crashes; a dead controller just

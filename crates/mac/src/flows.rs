@@ -11,7 +11,7 @@
 
 use crate::workload::{FlowKind, RunStats, Workload};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimDuration, SimTime};
+use domino_sim::{Engine, EventHandle, SimDuration, SimTime};
 use domino_topology::{LinkId, Network};
 use domino_traffic::{
     FlowId, LinkQueue, Packet, PacketId, PacketKind, TcpReceiver, TcpSender, UdpSource,
@@ -38,8 +38,6 @@ pub enum TrafficEv {
     TcpRto {
         /// Flow index.
         flow: usize,
-        /// Staleness guard: only the latest re-arm of a flow fires.
-        gen: u64,
     },
 }
 
@@ -54,10 +52,9 @@ impl SnapValue for TrafficEv {
                 w.put_u8(1);
                 flow.put(w);
             }
-            TrafficEv::TcpRto { flow, gen } => {
+            TrafficEv::TcpRto { flow } => {
                 w.put_u8(2);
                 flow.put(w);
-                w.put_u64(*gen);
             }
         }
     }
@@ -65,7 +62,7 @@ impl SnapValue for TrafficEv {
         Ok(match r.get_u8()? {
             0 => TrafficEv::UdpArrival { flow: SnapValue::thaw(r)? },
             1 => TrafficEv::TcpTick { flow: SnapValue::thaw(r)? },
-            2 => TrafficEv::TcpRto { flow: SnapValue::thaw(r)?, gen: r.get_u64()? },
+            2 => TrafficEv::TcpRto { flow: SnapValue::thaw(r)? },
             _ => return Err(SnapError::Corrupt("traffic event tag")),
         })
     }
@@ -77,7 +74,7 @@ impl TrafficEv {
         match self {
             TrafficEv::UdpArrival { flow }
             | TrafficEv::TcpTick { flow }
-            | TrafficEv::TcpRto { flow, .. } => flow,
+            | TrafficEv::TcpRto { flow } => flow,
         }
     }
 }
@@ -118,9 +115,9 @@ pub struct FlowEngine {
     /// not double-count it).
     last_udp_seq: Vec<Option<u64>>,
     ack_serial: u64,
-    /// Per-flow RTO generation: a `TcpRto` event fires only if it carries
-    /// its flow's latest generation.
-    rto_gen: Vec<u64>,
+    /// Per-flow handle of the last armed `TcpRto` event; a re-arm cancels
+    /// it, so only the latest one is ever pending.
+    rto: Vec<Option<EventHandle>>,
     /// Indices of the TCP flows, in flow order.
     tcp: Vec<usize>,
     /// Statistics under construction.
@@ -168,7 +165,7 @@ impl FlowEngine {
             tcp: (0..flows.len())
                 .filter(|&i| matches!(flows[i], FlowRuntime::Tcp { .. }))
                 .collect(),
-            rto_gen: vec![0; flows.len()],
+            rto: vec![None; flows.len()],
             flows,
             flow_of_link,
             last_udp_seq: vec![None; num_links],
@@ -191,11 +188,11 @@ impl FlowEngine {
     }
 
     /// Handle one traffic event: queue a UDP arrival and schedule the
-    /// next, run a TCP tick and schedule the next, or fire a current RTO.
-    /// Returns what changed, or `None` for a superseded RTO. The caller
-    /// reacts: a CSMA scheme kicks the sender, and after `Fired::Tcp` it
-    /// re-arms RTOs with [`FlowEngine::sync_rto`] or
-    /// [`FlowEngine::sync_all_rto`].
+    /// next, run a TCP tick and schedule the next, or fire the RTO.
+    /// Returns what changed, or `None` for an event whose kind does not
+    /// match its flow. The caller reacts: a CSMA scheme kicks the sender,
+    /// and after `Fired::Tcp` it re-arms RTOs with
+    /// [`FlowEngine::sync_rto`] or [`FlowEngine::sync_all_rto`].
     pub fn on_event<E: From<TrafficEv>>(
         &mut self,
         ev: TrafficEv,
@@ -203,11 +200,6 @@ impl FlowEngine {
         engine: &mut Engine<E>,
     ) -> Option<Fired> {
         let flow = ev.flow();
-        if let TrafficEv::TcpRto { gen, .. } = ev {
-            if self.rto_gen[flow] != gen {
-                return None; // superseded by a later re-arm: the common case
-            }
-        }
         let released = match (ev, &mut self.flows[flow]) {
             (TrafficEv::UdpArrival { .. }, FlowRuntime::Udp(src)) => {
                 let packet = src.emit((flow as u64) << 40);
@@ -229,13 +221,13 @@ impl FlowEngine {
     }
 
     /// Re-arm one TCP flow's RTO event after its deadline may have moved:
-    /// bump the flow's generation (superseding the pending event) and
-    /// schedule the current deadline, if any.
+    /// cancel the pending event and schedule the current deadline, if any.
     pub fn sync_rto<E: From<TrafficEv>>(&mut self, flow: usize, now: SimTime, engine: &mut Engine<E>) {
-        self.rto_gen[flow] += 1;
-        if let Some(deadline) = self.tcp_rto_deadline(flow) {
-            let gen = self.rto_gen[flow];
-            engine.schedule_at(deadline.max(now), TrafficEv::TcpRto { flow, gen }.into());
+        match self.tcp_rto_deadline(flow) {
+            Some(deadline) => {
+                engine.rearm(&mut self.rto[flow], deadline.max(now), TrafficEv::TcpRto { flow }.into());
+            }
+            None => engine.disarm(&mut self.rto[flow]),
         }
     }
 
@@ -378,7 +370,7 @@ impl FlowEngine {
         }
         self.last_udp_seq.put(w);
         w.put_u64(self.ack_serial);
-        self.rto_gen.put(w);
+        self.rto.put(w);
         self.stats.save(w);
     }
 
@@ -410,11 +402,11 @@ impl FlowEngine {
             return Err(SnapError::Corrupt("udp seq table length"));
         }
         self.ack_serial = r.get_u64()?;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
+        let rto: Vec<Option<EventHandle>> = SnapValue::thaw(r)?;
+        if rto.len() != self.rto.len() {
+            return Err(SnapError::Corrupt("rto handle table length"));
         }
-        self.rto_gen = rto_gen;
+        self.rto = rto;
         self.stats.restore(r)
     }
 
@@ -573,24 +565,25 @@ mod tests {
     }
 
     #[test]
-    fn tcp_rto_fires_only_at_its_latest_generation() {
+    fn tcp_rto_rearm_leaves_exactly_one_pending_rto() {
         let n = net();
         let w = Workload::tcp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
         tick(&mut fe, 0, SimTime::from_millis(1));
         assert!(!fe.queue(LinkId(0)).is_empty());
         let mut engine: Engine<TrafficEv> = Engine::new();
-        // Two re-arms: the first event is superseded by the second.
+        // Two re-arms: the second cancels the first.
         fe.sync_rto(0, SimTime::from_millis(1), &mut engine);
+        let first = fe.rto[0].expect("rto armed after send");
         fe.sync_rto(0, SimTime::from_millis(1), &mut engine);
-        let (_, stale) = engine.pop().expect("rto armed after send");
+        assert_eq!(engine.pending(), 1, "the superseded RTO left the queue");
+        assert!(!engine.cancel(first), "the first handle went stale");
         let (deadline, live) = engine.pop().expect("re-armed rto");
-        assert!(matches!(live, TrafficEv::TcpRto { flow: 0, gen: 2 }));
-        // Drain the queue (packets "lost"), then fire the timers: the
-        // superseded one is ignored, the live one retransmits.
+        assert!(matches!(live, TrafficEv::TcpRto { flow: 0 }));
+        assert!(engine.pop().is_none());
+        // Drain the queue (packets "lost"), then fire the timer: it
+        // retransmits.
         while fe.queue_mut(LinkId(0)).pop().is_some() {}
-        assert_eq!(fire(&mut fe, stale, deadline), None);
-        assert!(fe.queue(LinkId(0)).is_empty());
         assert_eq!(fire(&mut fe, live, deadline), Some(Fired::Tcp(0)));
         assert_eq!(fe.queue(LinkId(0)).len(), 1, "go-back-N retransmission queued");
         assert_eq!(fe.tcp_retransmissions(), 1);

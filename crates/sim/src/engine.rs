@@ -37,9 +37,17 @@
 //! under cancellation churn (entries are arena slots on a free list, not
 //! heap tombstones). The delivery order is the same `(time, seq)` total
 //! order the original binary-heap queue produced — that queue survives as
-//! [`crate::oracle::ReferenceQueue`], and the differential property suite
-//! in `crates/sim/tests/` drives arbitrary operation interleavings against
-//! both to pin the equivalence.
+//! the `ReferenceQueue` oracle in `crates/sim/tests/`, where the
+//! differential property suite drives arbitrary operation interleavings
+//! against both to pin the equivalence.
+//!
+//! # Timers
+//!
+//! A model keeps the [`EventHandle`] of each timer it may re-arm and
+//! re-arms it with [`Engine::rearm`] (or stops it with [`Engine::disarm`]),
+//! which cancels the pending event first, so a superseded timer never
+//! pops. Handles survive checkpoints (see [`Engine::snapshot_save`]), so
+//! model state may store them.
 
 use crate::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::time::{SimDuration, SimTime};
@@ -50,9 +58,20 @@ use domino_obs::{CostPath, ProfHandle, TraceEvent, TraceHandle};
 ///
 /// Handles are generation-checked: after the event is delivered or
 /// cancelled the handle goes permanently stale, and a stale handle can
-/// never alias a later event even when its storage is reused.
+/// never alias a later event even when its storage is reused. A handle
+/// snapshots as its raw bits and names the same event (or stays stale)
+/// after a save or a restore.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventHandle(u64);
+
+impl SnapValue for EventHandle {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u64(self.0);
+    }
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(EventHandle(r.get_u64()?))
+    }
+}
 
 impl EventHandle {
     /// Pack a wheel `(index, generation)` pair.
@@ -69,13 +88,13 @@ impl EventHandle {
 }
 
 /// Default liveness budget: events allowed per liveness window before the
-/// engine declares a livelock. The ceiling has to clear the largest
-/// same-instant cascade a *legitimate* run produces — DOMINO under heavy
-/// TCP on T(10,2) has been measured at ~350k events inside one window at a
-/// batch boundary — so the default sits an order of magnitude above that.
-/// A genuine non-terminating spin still trips it within seconds of wall
-/// time.
-pub const DEFAULT_EVENT_BUDGET: u64 = 5_000_000;
+/// engine declares a livelock. Set to 10× the largest legitimate
+/// per-window count measured: 840 events in one 1 ms window (a Fig 14
+/// random T(20,3) DOMINO cell), the peak over `domino-run all` at quick
+/// scale and the three benchmark workloads at seed 1. Superseded timers
+/// are cancelled, never popped, so the count is live work only; a
+/// same-instant spin trips the budget within a few thousand events.
+pub const DEFAULT_EVENT_BUDGET: u64 = 10 * 840;
 
 /// Default liveness window of simulated time over which the event budget
 /// applies.
@@ -262,6 +281,25 @@ impl<E> Engine<E> {
         self.wheel.cancel(handle.unpack())
     }
 
+    /// Disarm a timer: cancel the event `timer` names, if any, and clear
+    /// it. A delivered or already-cancelled handle is a no-op.
+    #[inline]
+    pub fn disarm(&mut self, timer: &mut Option<EventHandle>) {
+        if let Some(h) = timer.take() {
+            self.cancel(h);
+        }
+    }
+
+    /// Re-arm a timer: disarm it, schedule `payload` at `at`, and keep the
+    /// new handle in `timer`. The replacement is always scheduled, even
+    /// at an unchanged deadline, so it takes its place in the same-instant
+    /// FIFO order exactly where a fresh schedule would.
+    #[inline]
+    pub fn rearm(&mut self, timer: &mut Option<EventHandle>, at: SimTime, payload: E) {
+        self.disarm(timer);
+        *timer = Some(self.schedule_at(at, payload));
+    }
+
     /// Pop the next event not later than `horizon`. Advances the clock to
     /// the event's timestamp. Returns `None` when the queue is exhausted or
     /// the next event lies beyond the horizon (the clock then stays put).
@@ -316,24 +354,21 @@ impl<E> Engine<E> {
     }
 
     /// Serialize the engine's dynamic state: clock cursor, delivery
-    /// count, liveness-window progress, and every pending event in
-    /// delivery order.
+    /// count, liveness-window progress, every pending event in delivery
+    /// order with its arena slot, and every slot's generation.
     ///
-    /// Draining the wheel is destructive, so the queue is rebuilt in
-    /// place by re-inserting the drained events in delivery order — the
-    /// wheel's FIFO-tie rule makes an in-order re-insertion reproduce the
-    /// exact delivery sequence, so a run that snapshots and *continues*
-    /// stays byte-identical to one that never snapshotted (pinned by the
-    /// `snapshot_preserves_delivery` tests below). Outstanding
-    /// [`EventHandle`]s go stale across a save; the MAC worlds use
-    /// generation guards, not stored handles, so nothing holds one across
-    /// a checkpoint boundary.
+    /// Every pending event keeps its slot and generation, so each
+    /// outstanding [`EventHandle`] names the same event on the continuing
+    /// run and on a run restored from these bytes, and a stale handle
+    /// stays stale on both. The save leaves delivery untouched and only
+    /// relinks the wheel's free list into the canonical order a restore
+    /// builds, so both runs go on to hand out the same handles (pinned by
+    /// the `snapshot_*` tests below and the differential suite).
     pub fn snapshot_save(&mut self, w: &mut SnapWriter)
     where
         E: SnapValue,
     {
-        let cursor = self.wheel.cursor();
-        w.put_u64(cursor);
+        w.put_u64(self.wheel.cursor());
         w.put_u64(self.processed);
         match &self.liveness {
             Some(liv) => {
@@ -343,19 +378,15 @@ impl<E> Engine<E> {
             }
             None => w.put_u8(0),
         }
-        let mut drained: Vec<(u64, E)> = Vec::with_capacity(self.wheel.len());
-        while let Some(ev) = self.wheel.pop_min_until(u64::MAX) {
-            drained.push(ev);
-        }
-        w.put_u64(drained.len() as u64);
-        let mut fresh = TimerWheel::new();
-        fresh.advance(cursor);
-        for (t, p) in drained {
+        let pending = self.wheel.pending_in_order();
+        w.put_u64(pending.len() as u64);
+        for (t, index, p) in pending {
             w.put_u64(t);
+            w.put_u32(index);
             p.put(w);
-            fresh.insert(t, p);
         }
-        self.wheel = fresh;
+        self.wheel.generations().put(w);
+        self.wheel.canonicalize_free_list();
     }
 
     /// Overwrite this engine's dynamic state from a snapshot written by
@@ -384,8 +415,7 @@ impl<E> Engine<E> {
             liv.window_events = events;
         }
         let n = r.get_len()?;
-        let mut fresh = TimerWheel::new();
-        fresh.advance(cursor);
+        let mut events = Vec::with_capacity(n.min(1 << 16));
         let mut last = cursor;
         for _ in 0..n {
             let t = r.get_u64()?;
@@ -393,9 +423,10 @@ impl<E> Engine<E> {
                 return Err(SnapError::Corrupt("event order"));
             }
             last = t;
-            fresh.insert(t, E::thaw(r)?);
+            events.push((t, r.get_u32()?, E::thaw(r)?));
         }
-        self.wheel = fresh;
+        let gens: Vec<u32> = SnapValue::thaw(r)?;
+        self.wheel = TimerWheel::rebuild(cursor, &gens, events)?;
         Ok(())
     }
 
@@ -713,6 +744,42 @@ mod tests {
         let mut fresh: Engine<Ev> = Engine::new();
         let err = fresh.snapshot_restore(&mut SnapReader::new(&bytes)).unwrap_err();
         assert_eq!(err, SnapError::Corrupt("event order"));
+    }
+
+    #[test]
+    fn handles_survive_save_and_restore() {
+        let mut e = Engine::new();
+        let late = e.schedule_at(SimTime::from_micros(10), Ev::A(1));
+        e.schedule_at(SimTime::from_micros(5), Ev::A(2));
+        let stale = e.schedule_at(SimTime::from_micros(7), Ev::A(3));
+        assert!(e.cancel(stale));
+        let mut w = SnapWriter::new();
+        e.snapshot_save(&mut w);
+        let bytes = w.into_bytes();
+        let mut back: Engine<Ev> = Engine::new();
+        back.snapshot_restore(&mut SnapReader::new(&bytes)).unwrap();
+        // The continuing and the restored engine agree on every handle:
+        // old ones name the same events, new ones come out equal.
+        for eng in [&mut e, &mut back] {
+            assert!(!eng.cancel(stale), "a stale handle stays stale");
+            assert!(eng.cancel(late), "a live handle names its event");
+        }
+        let next = e.schedule_at(SimTime::from_micros(20), Ev::A(4));
+        assert_eq!(back.schedule_at(SimTime::from_micros(20), Ev::A(4)), next);
+        assert_eq!(drain(&mut e), drain(&mut back));
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_bad_slots() {
+        let mut saved = half_run_engine();
+        let mut w = SnapWriter::new();
+        saved.snapshot_save(&mut w);
+        let mut bytes = w.into_bytes();
+        // The first event's arena index follows its time (bytes 25..33).
+        bytes[33..37].copy_from_slice(&999u32.to_le_bytes());
+        let mut fresh: Engine<Ev> = Engine::new();
+        let err = fresh.snapshot_restore(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert_eq!(err, SnapError::Corrupt("event slot"));
     }
 
     #[test]

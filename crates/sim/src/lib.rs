@@ -10,8 +10,6 @@
 //! * [`engine`] — a hierarchical timer-wheel event queue with FIFO
 //!   tie-breaking, O(1) generation-checked cancellation, and
 //!   horizon-bounded delivery,
-//! * [`oracle`] — the original binary-heap queue, retained as the
-//!   differential-testing reference for the wheel,
 //! * [`rng`] — per-subsystem deterministic random streams.
 //!
 //! Everything is a pure function of `(configuration, seed)`; there is no
@@ -21,14 +19,12 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod oracle;
 pub mod rng;
 pub mod snapshot;
 pub mod time;
 mod wheel;
 
 pub use engine::{Engine, EventHandle, Livelock};
-pub use oracle::ReferenceQueue;
 pub use rng::SimRng;
 pub use snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 pub use time::{SimDuration, SimTime};

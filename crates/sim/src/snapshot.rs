@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! "DSNP"            4-byte magic
-//! version           u32 LE (currently 1)
+//! version           u32 LE (currently 3)
 //! binding           32-byte SHA-256 of the run configuration
 //! t                 u64 LE checkpoint boundary (nanoseconds)
 //! payload_len       u64 LE
@@ -48,9 +48,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Current container format version. Bump on any layout change; old
 /// versions are rejected, never reinterpreted. Version 2: the shared run
-/// core (engine, medium, traffic with its RTO generations, node faults)
-/// leads every payload, ahead of the scheme's own state.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// core (engine, medium, traffic, node faults) leads every payload, ahead
+/// of the scheme's own state. Version 3: the engine stores each pending
+/// event's arena slot and every slot's generation, and the MAC worlds
+/// store the `EventHandle`s of their pending timers instead of
+/// generation counters.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// 4-byte container magic.
 const MAGIC: &[u8; 4] = b"DSNP";

@@ -1,7 +1,8 @@
 //! Hierarchical timer wheel: the event-queue core behind [`crate::engine::Engine`].
 //!
 //! Replaces the original `BinaryHeap<(time, seq)>` queue (preserved as the
-//! differential-test oracle in [`crate::oracle`]) with a radix timing wheel:
+//! differential-test oracle in `crates/sim/tests/oracle/`) with a radix
+//! timing wheel:
 //!
 //! * **Geometry.** 11 levels × 64 slots. Level `L` buckets pending events by
 //!   bits `[6L, 6L+6)` of their absolute nanosecond timestamp; 11 × 6 = 66
@@ -29,6 +30,8 @@
 //!   generation check, an unlink, and a push onto the internal free list —
 //!   no tombstones anywhere, so memory is bounded by the peak number of
 //!   simultaneously pending events regardless of churn.
+
+use crate::snapshot::SnapError;
 
 /// Bits per wheel level (64 slots).
 const SLOT_BITS: u32 = 6;
@@ -337,6 +340,84 @@ impl<E> TimerWheel<E> {
         self.release(idx);
         self.live -= 1;
         payload.map(|p| (time, p))
+    }
+
+    /// Every pending event in delivery order, as `(time, arena index,
+    /// payload)`. Read-only: events due at one instant always share a
+    /// bucket, in schedule order, so a stable sort by time over a walk of
+    /// every bucket reproduces the `(time, seq)` delivery order.
+    pub(crate) fn pending_in_order(&self) -> Vec<(u64, u32, &E)> {
+        let mut out = Vec::with_capacity(self.live);
+        for bucket in &self.buckets {
+            let mut idx = bucket.head;
+            while idx != NIL {
+                let n = &self.arena[idx as usize];
+                if let Some(p) = &n.payload {
+                    out.push((n.time, idx, p));
+                }
+                idx = n.next;
+            }
+        }
+        out.sort_by_key(|&(time, _, _)| time);
+        out
+    }
+
+    /// Every arena slot's generation, in index order (live slots odd, free
+    /// slots even).
+    pub(crate) fn generations(&self) -> Vec<u32> {
+        self.arena.iter().map(|n| n.gen).collect()
+    }
+
+    /// Relink the free list in ascending index order, so the next inserts
+    /// reuse the lowest free slots first. A snapshot save and a restore
+    /// both end here: the continuing run and the restored run then hand
+    /// out the same handles.
+    pub(crate) fn canonicalize_free_list(&mut self) {
+        self.free = NIL;
+        for idx in (0..self.arena.len()).rev() {
+            if self.arena[idx].bucket == FREE {
+                self.arena[idx].next = self.free;
+                self.free = idx as u32;
+            }
+        }
+    }
+
+    /// Rebuild a wheel from a snapshot: the cursor, every slot's
+    /// generation ([`TimerWheel::generations`]) and the pending events in
+    /// delivery order with their arena indices
+    /// ([`TimerWheel::pending_in_order`]). Each event returns to its
+    /// original slot under its original generation, so handles issued
+    /// before the save name the same events afterwards, and stale ones
+    /// stay stale. The free list comes out canonical. Operation counters
+    /// start from zero.
+    pub(crate) fn rebuild(
+        cursor: u64,
+        gens: &[u32],
+        events: Vec<(u64, u32, E)>,
+    ) -> Result<TimerWheel<E>, SnapError> {
+        let mut w = TimerWheel::new();
+        w.cursor = cursor;
+        w.arena = gens
+            .iter()
+            .map(|&gen| Node { time: 0, gen, bucket: FREE, prev: NIL, next: NIL, payload: None })
+            .collect();
+        for (time, idx, payload) in events {
+            match w.arena.get_mut(idx as usize) {
+                Some(n) if n.bucket == FREE && n.gen % 2 == 1 => {
+                    n.time = time;
+                    n.payload = Some(payload);
+                }
+                _ => return Err(SnapError::Corrupt("event slot")),
+            }
+            let bucket = w.bucket_of(time);
+            w.push_bucket(bucket, idx);
+            w.live += 1;
+        }
+        if w.arena.iter().any(|n| n.bucket == FREE && n.gen % 2 == 1) {
+            return Err(SnapError::Corrupt("free slot generation"));
+        }
+        w.canonicalize_free_list();
+        Ok(w)
     }
 
     /// Move the cursor to `to`, cascading every bucket whose window the

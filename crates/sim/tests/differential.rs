@@ -1,23 +1,29 @@
 //! Differential oracle harness for the timer-wheel engine.
 //!
 //! The wheel in `crates/sim/src/wheel.rs` replaced the original binary-heap
-//! queue; the heap survives as [`ReferenceQueue`], whose `(time, seq)`
-//! min-order *is* the delivery specification. The property here drives
-//! arbitrary interleaved schedule / same-instant burst / cancel / pop /
-//! `pop_until` / peek / `fast_forward` sequences against both queues in
-//! lockstep and asserts identical `(time, payload)` streams (payloads are
-//! schedule-ordinal, so a stream match pins the seq tie-break too), plus
-//! identical clocks, pending counts, and idle flags after every operation.
+//! queue; the heap survives as [`ReferenceQueue`] (in `oracle/`, test-only),
+//! whose `(time, seq)` min-order *is* the delivery specification. The
+//! property here drives arbitrary interleaved schedule / same-instant burst
+//! / cancel / pop / `pop_until` / peek / `fast_forward` / snapshot
+//! save-and-restore sequences against both queues in lockstep and asserts
+//! identical `(time, payload)` streams (payloads are schedule-ordinal, so a
+//! stream match pins the seq tie-break too), plus identical clocks, pending
+//! counts, and idle flags after every operation. Handles recorded before a
+//! snapshot keep being cancelled afterwards, so a handle that named a
+//! different event after a save or a restore, or a stale handle that came
+//! back to life, shows up as a cancel verdict or stream mismatch.
 //!
-//! Also here: the two stress shapes the engine must survive — the fig12
-//! ~350k same-instant TCP cascade without a spurious `Livelock`, and a
-//! long cancellation churn with bounded arena memory (the wheel free-lists
-//! slots instead of accumulating tombstones).
+//! Also here: the liveness budget's two edges — a burst at the measured
+//! per-window peak passes, a 350k same-instant spin is a `Livelock` — and
+//! a long cancellation churn with bounded arena memory (the wheel
+//! free-lists slots instead of accumulating tombstones).
+
+mod oracle;
 
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
-use domino_sim::oracle::RefHandle;
-use domino_sim::{Engine, EventHandle, ReferenceQueue, SimDuration, SimTime};
+use domino_sim::{Engine, EventHandle, Livelock, SimDuration, SimTime, SnapReader, SnapWriter};
 use domino_testkit::prop;
+use oracle::{RefHandle, ReferenceQueue};
 
 /// Delay shapes spanning every wheel level: same-instant, level-0
 /// neighbours, the level-0/1 and 1/2 boundaries, protocol-scale (9 µs slot,
@@ -32,7 +38,7 @@ fn drive(g: &mut prop::Gen) {
     let mut next_payload = 0u32;
     let ops = g.usize(1, 120);
     for _ in 0..ops {
-        match g.usize(0, 9) {
+        match g.usize(0, 10) {
             0..=3 => {
                 // Schedule at a level-targeted offset from now.
                 let base = *g.pick(&DELAYS);
@@ -70,7 +76,7 @@ fn drive(g: &mut prop::Gen) {
                 let h = SimTime::from_nanos(wheel.now().as_nanos().saturating_add(dt));
                 assert_eq!(wheel.pop_until(h), oracle.pop_until(h));
             }
-            _ => {
+            9 => {
                 // Peek, then fast-forward somewhere legal (at most to the
                 // next pending event), exercising delivery-free cascades.
                 let pw = wheel.peek_time();
@@ -82,6 +88,27 @@ fn drive(g: &mut prop::Gen) {
                 }
                 wheel.fast_forward(SimTime::from_nanos(target));
                 oracle.fast_forward(SimTime::from_nanos(target));
+            }
+            _ => {
+                // Checkpoint: save, restore into a fresh engine, and go on
+                // with either the saved engine or the restored one. The
+                // restored engine re-saves to the same bytes, and a handle
+                // recorded before the save, cancelled right away, removes
+                // the same event as on the oracle or stays a no-op.
+                let bytes = save(&mut wheel);
+                let mut restored: Engine<u32> = Engine::new();
+                restored.schedule_now(u32::MAX); // replaced by the restore
+                restored
+                    .snapshot_restore(&mut SnapReader::new(&bytes))
+                    .expect("a saved engine restores");
+                assert_eq!(save(&mut restored), bytes, "restore must re-save identically");
+                if g.bool() {
+                    wheel = restored;
+                }
+                if !handles.is_empty() {
+                    let (hw, ho) = handles[g.usize(0, handles.len() - 1)];
+                    assert_eq!(wheel.cancel(hw), oracle.cancel(ho), "cancel across a snapshot");
+                }
             }
         }
         assert_eq!(wheel.now(), oracle.now());
@@ -98,6 +125,13 @@ fn drive(g: &mut prop::Gen) {
     }
     assert_eq!(wheel.events_processed(), oracle.events_processed());
     assert!(wheel.is_idle() && oracle.is_idle());
+}
+
+/// Snapshot bytes of `e` (saving relinks only the free list).
+fn save(e: &mut Engine<u32>) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    e.snapshot_save(&mut w);
+    w.into_bytes()
 }
 
 #[test]
@@ -120,36 +154,50 @@ fn wheel_matches_heap_oracle_pins() {
     prop::replay(&[1, 4, 7, 7], drive);
     // Schedule at now, cancel it, pop into the empty queue.
     prop::replay(&[2, 0, 0, 0, 5, 0, 7], drive);
+    // Event 0 at 1 ns, event 1 now, a checkpoint, then a cancel of event
+    // 0's pre-save handle, on the saved engine and on the restored one.
+    // The save lists event 1 first; a save or restore that re-allocated
+    // slots in delivery order would hand event 0's handle to event 1.
+    prop::replay(&[2, 0, 0, 1, 4, 0, 10, 0, 0], drive);
+    prop::replay(&[2, 0, 0, 1, 4, 0, 10, 1, 0], drive);
 }
 
-/// fig12's legitimate burst: DOMINO under heavy TCP on T(10,2) delivers
-/// ~350k events at one instant (a batch boundary). The default liveness
-/// budget must clear it with no spurious `Livelock`, and the FIFO order
-/// must hold through the whole cascade.
-#[test]
-fn same_instant_cascade_350k_no_spurious_livelock() {
+/// Drive a same-instant chain of `n` events at 5 ms under the default
+/// liveness budget; returns the events delivered, or the livelock.
+fn same_instant_chain(n: u32) -> Result<u32, Livelock> {
     let mut e: Engine<u32> = Engine::new();
     e.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
     let t = SimTime::from_millis(5);
     e.schedule_at(t, 0);
     let mut delivered = 0u32;
-    let horizon = SimTime::from_secs(1);
-    loop {
-        match e.pop_until_checked(horizon) {
-            Ok(Some((at, n))) => {
-                assert_eq!(at, t, "cascade must stay at one instant");
-                assert_eq!(n, delivered, "same-instant FIFO order broke");
-                delivered += 1;
-                if delivered < 350_000 {
-                    e.schedule_now(delivered);
-                }
-            }
-            Ok(None) => break,
-            Err(lv) => panic!("spurious livelock on a legitimate burst: {lv}"),
+    while let Some((at, k)) = e.pop_until_checked(SimTime::from_secs(1))? {
+        assert_eq!(at, t, "the chain must stay at one instant");
+        assert_eq!(k, delivered, "same-instant FIFO order broke");
+        delivered += 1;
+        if delivered < n {
+            e.schedule_now(delivered);
         }
     }
-    assert_eq!(delivered, 350_000);
-    assert_eq!(e.events_processed(), 350_000);
+    Ok(delivered)
+}
+
+/// The busiest legitimate window measured (840 events in 1 ms, a Fig 14
+/// DOMINO cell) delivered as one same-instant burst clears the default
+/// budget with no spurious `Livelock`.
+#[test]
+fn burst_at_measured_peak_no_spurious_livelock() {
+    assert_eq!(same_instant_chain(840), Ok(840));
+}
+
+/// A 350k-event same-instant spin — the size of the stale-timer storm
+/// the old 5M budget was raised to clear — is now reported as a livelock
+/// as soon as the window exceeds the budget.
+#[test]
+fn same_instant_spin_350k_is_a_livelock() {
+    let lv = same_instant_chain(350_000).expect_err("a 350k same-instant spin must trip");
+    assert_eq!(lv.at, SimTime::from_millis(5));
+    assert_eq!(lv.budget, DEFAULT_EVENT_BUDGET);
+    assert_eq!(lv.events_in_window, DEFAULT_EVENT_BUDGET + 1);
 }
 
 /// Long-run schedule/cancel churn: 200k cycles must not grow the engine.

@@ -17,10 +17,10 @@
 //! [`pending`](ReferenceQueue::pending) — the documented semantics, which
 //! the wheel also implements.
 //!
-//! This type is test infrastructure, not simulation surface: nothing under
-//! `crates/{phy,medium,mac,runner}` may depend on it.
+//! This type is test infrastructure, not simulation surface: it lives
+//! under `crates/sim/tests/`, so the library does not ship it.
 
-use crate::time::{SimDuration, SimTime};
+use domino_sim::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
@@ -58,7 +58,7 @@ impl<E> Ord for Entry<E> {
 }
 
 /// Binary-heap event queue: the specification oracle for
-/// [`Engine`](crate::engine::Engine).
+/// [`Engine`](domino_sim::Engine).
 pub struct ReferenceQueue<E> {
     queue: BinaryHeap<Entry<E>>,
     now: SimTime,
@@ -130,12 +130,6 @@ impl<E> ReferenceQueue<E> {
         self.queue.push(Entry { time: at, seq, payload });
         self.live.insert(seq);
         RefHandle(seq)
-    }
-
-    /// Schedule `payload` after `delay` from now.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> RefHandle {
-        self.schedule_at(self.now + delay, payload)
     }
 
     /// Schedule `payload` at the current instant.

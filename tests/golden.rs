@@ -46,7 +46,7 @@ fn summary(scheme: Scheme, traffic: Traffic) -> String {
 fn golden_dcf_fig7_seeded() {
     assert_eq!(
         summary(Scheme::Dcf, Traffic::Udp),
-        "tput=12.656640 delay_us=41899.237 fairness=0.486215 events=4693 retx=86 tcp_retx=0"
+        "tput=12.656640 delay_us=41899.237 fairness=0.486215 events=2966 retx=86 tcp_retx=0"
     );
 }
 
@@ -54,7 +54,7 @@ fn golden_dcf_fig7_seeded() {
 fn golden_centaur_fig7_seeded() {
     assert_eq!(
         summary(Scheme::Centaur, Traffic::Udp),
-        "tput=13.312000 delay_us=39435.749 fairness=0.723023 events=4446 retx=88 tcp_retx=0"
+        "tput=13.312000 delay_us=39435.749 fairness=0.723023 events=3202 retx=88 tcp_retx=0"
     );
 }
 
@@ -62,7 +62,7 @@ fn golden_centaur_fig7_seeded() {
 fn golden_domino_fig7_seeded() {
     assert_eq!(
         summary(Scheme::Domino, Traffic::Udp),
-        "tput=20.193280 delay_us=33087.106 fairness=0.963532 events=8233 retx=186 tcp_retx=0"
+        "tput=20.193280 delay_us=33087.106 fairness=0.963532 events=7076 retx=186 tcp_retx=0"
     );
 }
 
@@ -78,7 +78,7 @@ fn golden_omniscient_fig7_seeded() {
 fn golden_dcf_fig7_tcp_seeded() {
     assert_eq!(
         summary(Scheme::Dcf, Traffic::Tcp),
-        "tput=9.625600 delay_us=21050.486 fairness=0.630480 events=5854 retx=111 tcp_retx=2"
+        "tput=9.625600 delay_us=21050.486 fairness=0.630480 events=2395 retx=111 tcp_retx=2"
     );
 }
 
@@ -86,7 +86,7 @@ fn golden_dcf_fig7_tcp_seeded() {
 fn golden_centaur_fig7_tcp_seeded() {
     assert_eq!(
         summary(Scheme::Centaur, Traffic::Tcp),
-        "tput=10.772480 delay_us=24164.471 fairness=0.689979 events=5462 retx=87 tcp_retx=0"
+        "tput=10.772480 delay_us=24164.471 fairness=0.689979 events=2770 retx=87 tcp_retx=0"
     );
 }
 
@@ -94,7 +94,7 @@ fn golden_centaur_fig7_tcp_seeded() {
 fn golden_domino_fig7_tcp_seeded() {
     assert_eq!(
         summary(Scheme::Domino, Traffic::Tcp),
-        "tput=11.100160 delay_us=13064.563 fairness=0.972368 events=10802 retx=140 tcp_retx=1"
+        "tput=11.100160 delay_us=13064.563 fairness=0.972368 events=6114 retx=140 tcp_retx=1"
     );
 }
 
@@ -102,7 +102,7 @@ fn golden_domino_fig7_tcp_seeded() {
 fn golden_omniscient_fig7_tcp_seeded() {
     assert_eq!(
         summary(Scheme::Omniscient, Traffic::Tcp),
-        "tput=10.567680 delay_us=16010.568 fairness=0.995037 events=2997 retx=0 tcp_retx=0"
+        "tput=10.567680 delay_us=16010.568 fairness=0.995037 events=1081 retx=0 tcp_retx=0"
     );
 }
 
