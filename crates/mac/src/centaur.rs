@@ -571,7 +571,7 @@ impl World for CentaurWorld {
 
 impl CentaurWorld {
     fn on_tx_end(&mut self, tx: domino_medium::TxId, now: SimTime) {
-        let receptions = self.core.medium.end(tx, now);
+        let receptions = self.core.end_tx(tx, now);
         self.csma.scan(now, &mut self.core.engine, &self.core.medium);
         // A data frame's NAV reserves the channel through its ACK; an
         // idle transition it causes is anchored past that window.
@@ -644,6 +644,7 @@ impl CentaurWorld {
                 _ => {}
             }
         }
+        self.core.rx_buf = receptions;
         self.csma.try_start_all(now, &mut self.core.engine, &self.core.medium, &self.core.fe);
     }
 

@@ -592,7 +592,7 @@ impl World for DcfWorld {
                 );
             }
             Ev::TxEnd { tx } => {
-                let receptions = c.medium.end(tx, now);
+                let receptions = c.end_tx(tx, now);
                 self.csma.scan(now, &mut c.engine, &c.medium);
                 if let Some(first) = receptions.first() {
                     match &first.frame.body {
@@ -621,6 +621,7 @@ impl World for DcfWorld {
                         _ => {}
                     }
                 }
+                c.rx_buf = receptions;
                 self.csma.try_start_all(now, &mut c.engine, &c.medium, &c.fe);
             }
             Ev::SendAck { rx, packet } => {

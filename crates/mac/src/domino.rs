@@ -31,7 +31,7 @@ use crate::timing::{
 };
 use crate::workload::{DominoCounters, WATCHDOG_STORM_THRESHOLD};
 use crate::world::{Core, Setup, World};
-use domino_medium::{Burst, BurstMarker, Frame, FrameBody, InlineVec, Reception, TxId};
+use domino_medium::{Burst, BurstMarker, Frame, FrameBody, InlineVec, TxId};
 use domino_obs::{CostPath, FaultKind, TraceEvent, TraceHandle};
 use domino_scheduler::{
     BacklogView, BurstAssignment, ConversionOutcome, Converter, ConverterConfig, RandScheduler,
@@ -524,8 +524,6 @@ pub struct DominoWorld {
     hb_seen: bool,
     /// Consecutive probes without a heartbeat.
     hb_missed: u32,
-    /// Reception buffer recycled across `on_tx_end` calls.
-    rx_buf: Vec<Reception>,
     /// Static topology tables cached at construction: the per-batch
     /// controller loops would otherwise rebuild these Vecs on every
     /// compute (hundreds per run).
@@ -630,7 +628,6 @@ impl World for DominoWorld {
             standby_buf: Vec::new(),
             hb_seen: false,
             hb_missed: 0,
-            rx_buf: Vec::new(),
             ap_list,
             clients,
             backlog_buf: Vec::new(),
@@ -695,7 +692,7 @@ impl World for DominoWorld {
     }
 
     /// Serialize everything the run's future depends on beyond the core.
-    /// Scratch storage (`rx_buf`, the controller's compute buffers, the
+    /// Scratch storage (the controller's compute buffers, the
     /// dispatch pools) is empty between events and rebuilt on demand, so
     /// it is deliberately not part of the image.
     fn save(&self, w: &mut SnapWriter) {
@@ -1555,11 +1552,7 @@ impl DominoWorld {
     // ------------------------------------------------------- receptions
 
     fn on_tx_end(&mut self, now: SimTime, tx: TxId) {
-        // One reception buffer for the whole run: `end_into` refills it
-        // here and the storage goes back on `self.rx_buf` below.
-        let mut receptions = std::mem::take(&mut self.rx_buf);
-        receptions.clear();
-        self.core.medium.end_into(tx, now, &mut receptions);
+        let receptions = self.core.end_tx(tx, now);
         for r in &receptions {
             let rx = r.rx.index();
             match &r.frame.body {
@@ -1729,7 +1722,7 @@ impl DominoWorld {
                 }
             }
         }
-        self.rx_buf = receptions;
+        self.core.rx_buf = receptions;
     }
 
     /// The AP received an uplink frame: advance its program past the

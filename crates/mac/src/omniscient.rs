@@ -154,7 +154,7 @@ impl World for OmniWorld {
                 c.engine.schedule_at(now + self.slot, OmniEv::SlotStart);
             }
             OmniEv::TxEnd { tx } => {
-                let receptions = c.medium.end(tx, now);
+                let receptions = c.end_tx(tx, now);
                 for r in &receptions {
                     if let FrameBody::Data { packet, .. } = &r.frame.body {
                         let l = *c.net.link(packet.link);
@@ -177,6 +177,7 @@ impl World for OmniWorld {
                         }
                     }
                 }
+                c.rx_buf = receptions;
                 c.fe.sync_all_rto(now, &mut c.engine);
             }
         }

@@ -10,7 +10,7 @@
 use crate::flows::{FlowEngine, TrafficEv};
 use crate::workload::{client_indices, RunStats, Workload};
 use domino_faults::{FaultConfig, FaultPlane, NodeFaults};
-use domino_medium::Medium;
+use domino_medium::{Medium, Reception, TxId};
 use domino_obs::{CostPath, ProfHandle, TraceHandle};
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
@@ -85,6 +85,9 @@ pub struct Core<E> {
     pub tracer: TraceHandle,
     /// Observation-only cost profiler.
     pub prof: ProfHandle,
+    /// The run's one reception buffer (see [`Core::end_tx`]). Scratch:
+    /// empty between events and never part of a snapshot.
+    pub rx_buf: Vec<Reception>,
 }
 
 impl<E: SnapValue + From<TrafficEv>> Core<E> {
@@ -112,7 +115,19 @@ impl<E: SnapValue + From<TrafficEv>> Core<E> {
             node_faults: plane.node,
             tracer,
             prof: ProfHandle::off(),
+            rx_buf: Vec::new(),
         }
+    }
+
+    /// Take `tx` off the air and adjudicate it. The verdicts come back in
+    /// [`Core::rx_buf`], moved out so the caller can use the core while it
+    /// reads them; the caller hands the buffer back (`core.rx_buf =
+    /// receptions`) and every transmission of the run reuses its storage.
+    pub fn end_tx(&mut self, tx: TxId, now: SimTime) -> Vec<Reception> {
+        let mut receptions = std::mem::take(&mut self.rx_buf);
+        receptions.clear();
+        self.medium.end_into(tx, now, &mut receptions);
+        receptions
     }
 
     fn set_profiler(&mut self, prof: ProfHandle) {

@@ -130,6 +130,11 @@ pub struct MediumCounters {
 pub struct Medium {
     net: Network,
     active: Vec<ActiveTx>,
+    /// `transmitting[n]`: some frame from node `n` is in `active`.
+    /// Derived state kept beside the in-flight list so carrier-sense
+    /// queries are O(1): set by `begin`, cleared by `end_into`, rebuilt
+    /// from `active` by `snapshot_restore`, never saved.
+    transmitting: Vec<bool>,
     ambient_mw: Vec<f64>,
     noise_mw: f64,
     cs_threshold_mw: f64,
@@ -195,6 +200,7 @@ impl Medium {
         Medium {
             net,
             active: Vec::new(),
+            transmitting: vec![false; n],
             ambient_mw: vec![0.0; n],
             noise_mw,
             cs_threshold_mw,
@@ -264,13 +270,21 @@ impl Medium {
         self.rss_floor_mw[tx.index() * self.net.num_nodes() + rx.index()]
     }
 
-    /// Is `node` currently transmitting?
+    /// Is `node` currently transmitting? O(1): reads the transmitter flag.
+    /// Debug builds cross-check it against a scan of the in-flight list.
     pub fn is_transmitting(&self, node: NodeId) -> bool {
-        self.active.iter().any(|t| t.frame.src == node)
+        let on = self.transmitting[node.index()];
+        debug_assert_eq!(
+            on,
+            self.active.iter().any(|t| t.frame.src == node),
+            "transmitter flag of {node} disagrees with the in-flight list"
+        );
+        on
     }
 
     /// Does `node` sense the channel busy (energy above the carrier-sense
-    /// threshold)? A transmitting node always senses busy.
+    /// threshold)? A transmitting node always senses busy. O(1), with the
+    /// same debug cross-check as [`Medium::is_transmitting`].
     pub fn is_busy(&self, node: NodeId) -> bool {
         self.is_transmitting(node)
             || self.ambient_mw[node.index()] >= self.cs_threshold_mw
@@ -314,7 +328,7 @@ impl Medium {
     }
 
     /// Put `frame` on the air at `now`. The caller schedules the matching
-    /// [`Medium::end`] at `now + airtime` (airtime policy lives in
+    /// [`Medium::end_into`] at `now + airtime` (airtime policy lives in
     /// `domino-mac::timing`).
     pub fn begin(&mut self, now: SimTime, frame: Frame) -> TxId {
         assert!(
@@ -391,20 +405,15 @@ impl Medium {
         }
         self.rx_scratch = rxs;
 
+        // Flagged only now, so the tracks above saw the sender as idle.
+        self.transmitting[src.index()] = true;
         self.active.push(ActiveTx { id, frame, start: now, tracks });
         id
     }
 
     /// Take `tx` off the air and adjudicate reception at every intended
-    /// receiver.
-    pub fn end(&mut self, tx: TxId, now: SimTime) -> Vec<Reception> {
-        let mut out = Vec::new();
-        self.end_into(tx, now, &mut out);
-        out
-    }
-
-    /// [`Medium::end`], appending verdicts to a caller-owned buffer so a
-    /// hot event loop can reuse one allocation across every transmission.
+    /// receiver, appending the verdicts to a caller-owned buffer so a hot
+    /// event loop can reuse one allocation across every transmission.
     pub fn end_into(&mut self, tx: TxId, now: SimTime, out: &mut Vec<Reception>) {
         let pos = self
             .active
@@ -412,6 +421,7 @@ impl Medium {
             .position(|t| t.id == tx)
             .unwrap_or_else(|| panic!("ending unknown transmission {tx:?}"));
         let done = self.active.swap_remove(pos);
+        self.transmitting[done.frame.src.index()] = false;
         debug_assert!(now >= done.start, "transmission ends before it starts");
         self.prof.tick(CostPath::MediumEnd);
 
@@ -450,8 +460,9 @@ impl Medium {
     /// their interference tracks), the ambient power field, the PHY RNG,
     /// the transmission counter, reception counters, ROP round peaks and
     /// the fault classes. The RSS matrices, the PER memo cache (a pure
-    /// function of its key), the recycling pools and the tracer are
-    /// configuration or scratch and are reconstructed, not saved.
+    /// function of its key), the transmitter flags (a function of the
+    /// in-flight list), the recycling pools and the tracer are
+    /// configuration, derived or scratch and are reconstructed, not saved.
     pub fn snapshot_save(&self, w: &mut SnapWriter) {
         w.put_u64(self.active.len() as u64);
         for tx in &self.active {
@@ -515,6 +526,14 @@ impl Medium {
                 });
             }
             self.active.push(ActiveTx { id, frame, start, tracks });
+        }
+        self.transmitting.fill(false);
+        for tx in &self.active {
+            match self.transmitting.get_mut(tx.frame.src.index()) {
+                Some(on) if !*on => *on = true,
+                Some(_) => return Err(SnapError::Corrupt("node transmits twice")),
+                None => return Err(SnapError::Corrupt("transmitter out of range")),
+            }
         }
         let n_ambient = r.get_len()?;
         if n_ambient != self.ambient_mw.len() {
@@ -680,6 +699,13 @@ mod tests {
     use domino_topology::LinkId;
     use domino_traffic::{FlowId, Packet, PacketId, PacketKind};
 
+    /// Take `tx` off the air and collect its verdicts in a fresh buffer.
+    pub(super) fn end_rx(m: &mut Medium, tx: TxId, now: SimTime) -> Vec<Reception> {
+        let mut out = Vec::new();
+        m.end_into(tx, now, &mut out);
+        out
+    }
+
     /// Two AP-client pairs; cross-RSS injected per test.
     fn net(cross: &[(u32, u32, f64)]) -> Network {
         let nodes = vec![
@@ -723,7 +749,7 @@ mod tests {
         let n = net(&[]);
         let mut m = Medium::new(n.clone(), 1);
         let t = m.begin(SimTime::ZERO, data_frame(&n, 0));
-        let rx = m.end(t, SimTime::from_micros(341));
+        let rx = end_rx(&mut m, t, SimTime::from_micros(341));
         assert_eq!(rx.len(), 1);
         assert!(rx[0].success);
         assert!(rx[0].sinr_db > 30.0);
@@ -739,10 +765,10 @@ mod tests {
         let mut m = Medium::new(n.clone(), 2);
         let t0 = m.begin(SimTime::ZERO, data_frame(&n, 0)); // AP0 -> C1
         let t1 = m.begin(SimTime::from_micros(10), data_frame(&n, 2)); // AP2 -> C3
-        let rx0 = m.end(t0, SimTime::from_micros(341));
+        let rx0 = end_rx(&mut m, t0, SimTime::from_micros(341));
         assert!(!rx0[0].success, "SINR {} should break reception", rx0[0].sinr_db);
         // AP2's own link is clean (nothing loud near C3).
-        let rx1 = m.end(t1, SimTime::from_micros(351));
+        let rx1 = end_rx(&mut m, t1, SimTime::from_micros(351));
         assert!(rx1[0].success);
     }
 
@@ -754,8 +780,8 @@ mod tests {
         let mut m = Medium::new(n.clone(), 3);
         let t0 = m.begin(SimTime::ZERO, data_frame(&n, 0));
         let t1 = m.begin(SimTime::from_micros(100), data_frame(&n, 2));
-        let _ = m.end(t1, SimTime::from_micros(200)); // interferer gone
-        let rx0 = m.end(t0, SimTime::from_micros(341));
+        let _ = end_rx(&mut m, t1, SimTime::from_micros(200)); // interferer gone
+        let rx0 = end_rx(&mut m, t0, SimTime::from_micros(341));
         assert!(rx0[0].sinr_db < 8.0, "peak interference forgotten: {}", rx0[0].sinr_db);
     }
 
@@ -766,8 +792,8 @@ mod tests {
         let mut m = Medium::new(n.clone(), 4);
         let t0 = m.begin(SimTime::ZERO, data_frame(&n, 0));
         let t1 = m.begin(SimTime::ZERO, data_frame(&n, 2));
-        assert!(m.end(t0, SimTime::from_micros(341))[0].success);
-        assert!(m.end(t1, SimTime::from_micros(341))[0].success);
+        assert!(end_rx(&mut m, t0, SimTime::from_micros(341))[0].success);
+        assert!(end_rx(&mut m, t1, SimTime::from_micros(341))[0].success);
     }
 
     #[test]
@@ -779,7 +805,7 @@ mod tests {
         assert!(m.is_busy(NodeId(2)), "AP2 hears AP0 at -70 dBm");
         assert!(!m.is_busy(NodeId(3)), "C3 hears nothing");
         assert!(m.is_busy(NodeId(0)), "a transmitter senses itself busy");
-        m.end(t, SimTime::from_micros(341));
+        end_rx(&mut m, t, SimTime::from_micros(341));
         assert!(!m.is_busy(NodeId(2)));
     }
 
@@ -790,7 +816,7 @@ mod tests {
         // C1 transmits its uplink while AP0 sends it a downlink frame.
         let _up = m.begin(SimTime::ZERO, data_frame(&n, 1)); // C1 -> AP0
         let down = m.begin(SimTime::ZERO, data_frame(&n, 0)); // AP0 -> C1
-        let rx = m.end(down, SimTime::from_micros(341));
+        let rx = end_rx(&mut m, down, SimTime::from_micros(341));
         assert!(!rx[0].success, "a transmitting node cannot receive");
     }
 
@@ -816,7 +842,7 @@ mod tests {
         let mut ok = 0;
         for i in 0..50 {
             let t = m.begin(SimTime::from_micros(1 + i), burst.clone());
-            if m.end(t, SimTime::from_micros(1 + i))[0].success {
+            if end_rx(&mut m, t, SimTime::from_micros(1 + i))[0].success {
                 ok += 1;
             }
         }
@@ -848,7 +874,7 @@ mod tests {
         let mut ok = 0;
         for i in 0..100 {
             let t = m.begin(SimTime::from_micros(i), burst.clone());
-            ok += m.end(t, SimTime::from_micros(i)).iter().filter(|r| r.success).count();
+            ok += end_rx(&mut m, t, SimTime::from_micros(i)).iter().filter(|r| r.success).count();
         }
         assert!(ok > 380, "4-signature bursts should be reliable: {ok}/400");
     }
@@ -866,8 +892,8 @@ mod tests {
         };
         let t0 = m.begin(SimTime::ZERO, rep(1, 0));
         let t1 = m.begin(SimTime::ZERO, rep(3, 2));
-        assert!(m.end(t0, SimTime::from_micros(16))[0].success);
-        assert!(m.end(t1, SimTime::from_micros(16))[0].success);
+        assert!(end_rx(&mut m, t0, SimTime::from_micros(16))[0].success);
+        assert!(end_rx(&mut m, t1, SimTime::from_micros(16))[0].success);
     }
 
     #[test]
@@ -876,7 +902,7 @@ mod tests {
         let mut m = Medium::new(n.clone(), 10);
         let poll = Frame { src: NodeId(0), body: FrameBody::Poll { ap: NodeId(0) }, bits: 256 };
         let t = m.begin(SimTime::ZERO, poll);
-        let rx = m.end(t, SimTime::from_micros(30));
+        let rx = end_rx(&mut m, t, SimTime::from_micros(30));
         assert_eq!(rx.len(), 1); // AP0 has one client
         assert!(rx[0].success);
         assert_eq!(rx[0].rx, NodeId(1));
@@ -896,12 +922,13 @@ mod tests {
     fn ending_unknown_tx_panics() {
         let n = net(&[]);
         let mut m = Medium::new(n, 12);
-        let _ = m.end(TxId(99), SimTime::ZERO);
+        let _ = end_rx(&mut m, TxId(99), SimTime::ZERO);
     }
 }
 
 #[cfg(test)]
 mod more_tests {
+    use super::tests::end_rx;
     use super::*;
     use crate::frames::{Burst, BurstMarker, InlineVec};
     use domino_topology::network::{make_node, PhyParams};
@@ -949,8 +976,8 @@ mod more_tests {
             let a = m.begin(t0, report(&net, 1, 5));
             let b = m.begin(t0, report(&net, 2, 7));
             let end = t0 + domino_sim::SimDuration::from_micros(16);
-            strong_ok += usize::from(m.end(a, end)[0].success);
-            weak_ok += usize::from(m.end(b, end)[0].success);
+            strong_ok += usize::from(end_rx(&mut m, a, end)[0].success);
+            weak_ok += usize::from(end_rx(&mut m, b, end)[0].success);
         }
         assert!(strong_ok > 95, "strong reporter: {strong_ok}/100");
         assert!(weak_ok < 20, "45 dB gap should break the weak reporter: {weak_ok}/100");
@@ -963,9 +990,9 @@ mod more_tests {
         // Client 1 reports alone at t0; client 2 alone much later: both
         // are their round's peak, both succeed.
         let a = m.begin(SimTime::from_micros(0), report(&net, 1, 5));
-        assert!(m.end(a, SimTime::from_micros(16))[0].success);
+        assert!(end_rx(&mut m, a, SimTime::from_micros(16))[0].success);
         let b = m.begin(SimTime::from_millis(2), report(&net, 2, 9));
-        assert!(m.end(b, SimTime::from_millis(2) + domino_sim::SimDuration::from_micros(16))[0].success);
+        assert!(end_rx(&mut m, b, SimTime::from_millis(2) + domino_sim::SimDuration::from_micros(16))[0].success);
     }
 
     #[test]
@@ -995,7 +1022,7 @@ mod more_tests {
         }
         assert!(m.ambient_at(NodeId(0)).value() > noise_before + 10.0);
         for t in txs {
-            m.end(t, SimTime::from_micros(400));
+            end_rx(&mut m, t, SimTime::from_micros(400));
         }
         let after = m.ambient_at(NodeId(0)).value();
         assert!((after - noise_before).abs() < 0.1, "{noise_before} -> {after}");
@@ -1028,7 +1055,7 @@ mod more_tests {
             bits: 0,
         };
         let t = m2.begin(SimTime::ZERO, burst);
-        let rx = m2.end(t, SimTime::from_micros(13));
+        let rx = end_rx(&mut m2, t, SimTime::from_micros(13));
         assert_eq!(rx.len(), 1);
         assert!(!rx[0].success);
         assert_eq!(rx[0].sinr_db, f64::NEG_INFINITY);
@@ -1052,7 +1079,7 @@ mod more_tests {
             SimTime::ZERO,
             Frame { src: NodeId(0), body: FrameBody::Data { packet: p, fake: false, client_burst: None }, bits: 4096 },
         );
-        m.end(t, SimTime::from_micros(385));
+        end_rx(&mut m, t, SimTime::from_micros(385));
         let c = m.counters();
         assert_eq!(c.started, 1);
         assert_eq!(c.receptions_ok + c.receptions_failed, 1);
@@ -1096,7 +1123,7 @@ mod more_tests {
         for i in 0..20u64 {
             let at = SimTime::from_millis(10 + i * 40);
             let t = m.begin(at, data_on_link0(&n));
-            if !m.end(t, at)[0].success {
+            if !end_rx(&mut m, t, at)[0].success {
                 failed += 1;
             }
         }
@@ -1130,7 +1157,7 @@ mod more_tests {
             let mut ok = 0u32;
             for i in 0..200u64 {
                 let t = m.begin(SimTime::from_micros(i * 20), burst.clone());
-                if m.end(t, SimTime::from_micros(i * 20))[0].success {
+                if end_rx(&mut m, t, SimTime::from_micros(i * 20))[0].success {
                     ok += 1;
                 }
             }
@@ -1157,7 +1184,7 @@ mod more_tests {
         // Warm up the RNG and counters, then leave two frames in flight.
         for i in 0..40u64 {
             let t = m.begin(SimTime::from_micros(i * 50), data_on_link0(&n));
-            let _ = m.end(t, SimTime::from_micros(i * 50 + 20));
+            let _ = end_rx(&mut m, t, SimTime::from_micros(i * 50 + 20));
         }
         let inflight_a = m.begin(SimTime::from_millis(3), data_on_link0(&n));
         let inflight_b = m.begin(SimTime::from_millis(3), report(&n, 2, 9));
@@ -1172,8 +1199,8 @@ mod more_tests {
 
         // Both continue in lockstep: same verdicts, same counters, and
         // crucially the in-flight transmissions adjudicate identically.
-        let end_a = |m2: &mut Medium| m2.end(inflight_a, SimTime::from_millis(3) + domino_sim::SimDuration::from_micros(341));
-        let end_b = |m2: &mut Medium| m2.end(inflight_b, SimTime::from_millis(3) + domino_sim::SimDuration::from_micros(16));
+        let end_a = |m2: &mut Medium| end_rx(m2, inflight_a, SimTime::from_millis(3) + domino_sim::SimDuration::from_micros(341));
+        let end_b = |m2: &mut Medium| end_rx(m2, inflight_b, SimTime::from_millis(3) + domino_sim::SimDuration::from_micros(16));
         let (oa, ob) = (end_a(&mut m), end_b(&mut m));
         let (ra, rb) = (end_a(&mut restored), end_b(&mut restored));
         assert_eq!(oa[0].success, ra[0].success);
@@ -1184,7 +1211,7 @@ mod more_tests {
             let at = SimTime::from_millis(4) + domino_sim::SimDuration::from_micros(i * 30);
             let t1 = m.begin(at, data_on_link0(&n));
             let t2 = restored.begin(at, data_on_link0(&n));
-            assert_eq!(m.end(t1, at)[0].success, restored.end(t2, at)[0].success, "step {i}");
+            assert_eq!(end_rx(&mut m, t1, at)[0].success, end_rx(&mut restored, t2, at)[0].success, "step {i}");
         }
         assert_eq!(m.counters(), restored.counters());
         let (fo, fr) = (m.faults().unwrap(), restored.faults().unwrap());
@@ -1213,7 +1240,7 @@ mod more_tests {
             let mut ok = 0u64;
             for i in 0..500u64 {
                 let t = m.begin(SimTime::from_micros(i * 20), rep.clone());
-                if m.end(t, SimTime::from_micros(i * 20 + 16))[0].success {
+                if end_rx(&mut m, t, SimTime::from_micros(i * 20 + 16))[0].success {
                     ok += 1;
                 }
             }
@@ -1224,5 +1251,154 @@ mod more_tests {
         assert_eq!(clean_ok - corrupt_ok, corrupted);
         let rate = corrupted as f64 / clean_ok as f64;
         assert!((rate - 0.4).abs() < 0.08, "corruption rate {rate}");
+    }
+}
+
+#[cfg(test)]
+mod carrier_sense_tests {
+    //! The transmitter flags against their definition: after every step of
+    //! a random begin/end sequence each carrier-sense query must answer as
+    //! a scan of the in-flight list does, and a snapshot round trip must
+    //! rebuild the flags.
+    use super::*;
+    use domino_testkit::prop::{self, Gen};
+    use domino_topology::builder::random_placement;
+    use domino_topology::network::PhyParams;
+    use domino_topology::presets::fig1;
+    use domino_topology::LinkId;
+    use domino_traffic::{FlowId, Packet, PacketId, PacketKind};
+
+    type Answers = (bool, bool, bool);
+
+    /// `(is_transmitting, is_busy, is_busy_before_instant(now))` recomputed
+    /// from the in-flight list and the ambient field.
+    fn reference(m: &Medium, node: NodeId, now: SimTime) -> Answers {
+        let on = m.active.iter().any(|t| t.frame.src == node);
+        let mut heard_mw = 0.0;
+        for t in m.active.iter().filter(|t| t.start < now) {
+            heard_mw += m.rss_mw(t.frame.src, node);
+        }
+        let busy = on || m.ambient_mw[node.index()] >= m.cs_threshold_mw;
+        (on, busy, on || heard_mw >= m.cs_threshold_mw)
+    }
+
+    fn answers(m: &Medium, node: NodeId, now: SimTime) -> Answers {
+        (m.is_transmitting(node), m.is_busy(node), m.is_busy_before_instant(node, now))
+    }
+
+    fn all_answers(m: &Medium, now: SimTime) -> Vec<Answers> {
+        (0..m.network().num_nodes()).map(|i| answers(m, NodeId(i as u32), now)).collect()
+    }
+
+    fn check_step(m: &Medium, now: SimTime, step: usize) {
+        for i in 0..m.network().num_nodes() {
+            let node = NodeId(i as u32);
+            assert_eq!(answers(m, node, now), reference(m, node, now), "{node} at step {step}");
+        }
+    }
+
+    fn data_frame(net: &Network, link: LinkId, serial: u64) -> Frame {
+        Frame {
+            src: net.link(link).sender,
+            body: FrameBody::Data {
+                packet: Packet {
+                    id: PacketId(serial),
+                    flow: FlowId(0),
+                    link,
+                    payload_bytes: 512,
+                    created_at: SimTime::ZERO,
+                    kind: PacketKind::Udp,
+                    seq: serial,
+                },
+                fake: false,
+                client_burst: None,
+            },
+            bits: 4096,
+        }
+    }
+
+    /// Drive a random begin/end sequence on `net`, checking every node's
+    /// answers after each step, then round-trip the medium through a
+    /// snapshot mid-flight and check the restored copy answers, re-saves
+    /// and continues identically.
+    fn drive(g: &mut Gen, net: &Network) {
+        let seed = g.u64(0, 1 << 20);
+        let mut m = Medium::new(net.clone(), seed);
+        let mut in_flight: Vec<TxId> = Vec::new();
+        let mut out = Vec::new();
+        let mut now = SimTime::ZERO;
+        let steps = g.usize(1, 120);
+        for step in 0..steps {
+            // A zero advance makes same-instant starts, which only
+            // `is_busy_before_instant` tells apart.
+            now += domino_sim::SimDuration::from_micros(g.u64(0, 3) * 20);
+            let idle: Vec<LinkId> = net
+                .links()
+                .iter()
+                .filter(|l| !m.active.iter().any(|t| t.frame.src == l.sender))
+                .map(|l| l.id)
+                .collect();
+            if !idle.is_empty() && (in_flight.is_empty() || g.u64(0, 9) < 6) {
+                let link = *g.pick(&idle);
+                in_flight.push(m.begin(now, data_frame(net, link, step as u64)));
+            } else if !in_flight.is_empty() {
+                let tx = in_flight.swap_remove(g.usize(0, in_flight.len() - 1));
+                m.end_into(tx, now, &mut out);
+            }
+            check_step(&m, now, step);
+        }
+
+        let mut w = SnapWriter::new();
+        m.snapshot_save(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = Medium::new(net.clone(), seed);
+        let mut r = SnapReader::new(&bytes);
+        restored.snapshot_restore(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(all_answers(&restored, now), all_answers(&m, now));
+        let mut w2 = SnapWriter::new();
+        restored.snapshot_save(&mut w2);
+        assert_eq!(w2.into_bytes(), bytes, "restored medium re-saves different bytes");
+
+        // Drain both in lockstep: the rebuilt flags must follow the ends.
+        for (k, tx) in in_flight.into_iter().enumerate() {
+            now += domino_sim::SimDuration::from_micros(20);
+            m.end_into(tx, now, &mut out);
+            restored.end_into(tx, now, &mut out);
+            check_step(&restored, now, steps + k);
+            assert_eq!(all_answers(&restored, now), all_answers(&m, now));
+        }
+    }
+
+    #[test]
+    fn flags_match_in_flight_list_on_fig1() {
+        let net = fig1(PhyParams::default());
+        prop::check("carrier_sense_fig1", |g| drive(g, &net));
+    }
+
+    #[test]
+    fn flags_match_in_flight_list_on_random_t20_3() {
+        prop::check("carrier_sense_random_t20_3", |g| {
+            let net = random_placement(20, 3, 800.0, 30.0, PhyParams::default(), g.u64(0, 1 << 20));
+            drive(g, &net);
+        });
+    }
+
+    #[test]
+    fn restore_rejects_a_node_transmitting_twice() {
+        let net = fig1(PhyParams::default());
+        let mut m = Medium::new(net.clone(), 1);
+        m.begin(SimTime::ZERO, data_frame(&net, LinkId(0), 0));
+        // A second frame from the same sender, which `begin` would refuse.
+        let frame = m.active[0].frame.clone();
+        m.active.push(ActiveTx { id: TxId(1), frame, start: SimTime::ZERO, tracks: Vec::new() });
+        let mut w = SnapWriter::new();
+        m.snapshot_save(&mut w);
+        let doubled = w.into_bytes();
+        let mut fresh = Medium::new(net, 1);
+        assert!(matches!(
+            fresh.snapshot_restore(&mut SnapReader::new(&doubled)),
+            Err(SnapError::Corrupt("node transmits twice"))
+        ));
     }
 }

@@ -56,7 +56,7 @@ pub enum CostPath {
     EvStandby,
     /// `Medium::begin` calls (transmissions put on the air).
     MediumBegin,
-    /// `Medium::end` calls (transmissions leaving the air).
+    /// `Medium::end_into` calls (transmissions leaving the air).
     MediumEnd,
     /// Data-frame reception adjudications.
     AdjData,
