@@ -61,7 +61,6 @@ pub struct SimulationBuilder {
     duration_s: f64,
     seed: u64,
     domino: DominoConfig,
-    centaur: CentaurConfig,
     faults: FaultConfig,
 }
 
@@ -74,7 +73,6 @@ impl SimulationBuilder {
             duration_s: 10.0,
             seed: 1,
             domino: DominoConfig::default(),
-            centaur: CentaurConfig::default(),
             faults: FaultConfig::off(),
         }
     }
@@ -132,12 +130,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Override CENTAUR engine parameters.
-    pub fn centaur_config(mut self, cfg: CentaurConfig) -> Self {
-        self.centaur = cfg;
-        self
-    }
-
     /// Inject faults from a [`FaultConfig`]. The default is all off,
     /// which is byte-identical to a build without the fault plane.
     pub fn faults(mut self, cfg: FaultConfig) -> Self {
@@ -161,11 +153,6 @@ impl SimulationBuilder {
         let mut opts = RunOptions { tracer, profiler: prof, ..RunOptions::default() };
         // lint: allow(D005) without a restore payload a run cannot fail
         self.run_with(scheme, &mut opts).expect("a run without restore cannot fail")
-    }
-
-    /// Run all four schemes with the same configuration.
-    pub fn run_all(&self) -> Vec<RunReport> {
-        Scheme::ALL.iter().map(|&s| self.run(s)).collect()
     }
 
     /// The one run entry point: run under `scheme` with any combination
@@ -221,7 +208,7 @@ impl SimulationBuilder {
         };
         let stats = match scheme {
             Scheme::Dcf => run::<DcfWorld>(&setup, (), &mut opts),
-            Scheme::Centaur => run::<CentaurWorld>(&setup, self.centaur.clone(), &mut opts),
+            Scheme::Centaur => run::<CentaurWorld>(&setup, CentaurConfig::default(), &mut opts),
             Scheme::Domino => run::<DominoWorld>(&setup, self.domino.clone(), &mut opts),
             Scheme::Omniscient => run::<OmniWorld>(&setup, (), &mut opts),
         }?;
@@ -238,7 +225,7 @@ impl SimulationBuilder {
         let workload = format!("{:?}", self.workload);
         let network = format!("{:?}", self.network);
         let domino = format!("{:?}", self.domino);
-        let centaur = format!("{:?}", self.centaur);
+        let centaur = format!("{:?}", CentaurConfig::default());
         let faults = format!("{:?}", self.faults);
         snapshot::binding_digest(&[
             scheme.label().as_bytes(),

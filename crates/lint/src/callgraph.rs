@@ -40,10 +40,10 @@ use crate::rules::{FileCtx, Finding, RuleId};
 use std::collections::BTreeMap;
 
 /// Crates that contribute nodes and edges to the call graph. Everything
-/// simulation-side is here; `testkit`/`bench`/`lint`/`runner`/`campaign`
-/// are excluded (driver and measurement code, fenced from sim crates by
+/// simulation-side is here; `testkit`/`bench`/`lint`/`runner` are
+/// excluded (driver and measurement code, fenced from sim crates by
 /// D001 already).
-const EXCLUDED_CRATES: &[&str] = &["testkit", "bench", "lint", "runner", "campaign"];
+const EXCLUDED_CRATES: &[&str] = &["testkit", "bench", "lint", "runner"];
 
 /// One call site inside a function body.
 #[derive(Clone, Debug)]

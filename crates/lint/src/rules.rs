@@ -12,15 +12,15 @@
 //! | rule | scope | what it rejects |
 //! |------|-------|-----------------|
 //! | D001 | all but `testkit`, `bench` | `std::time` / `Instant` / `SystemTime` |
-//! | D002 | `scheduler` `mac` `sim` `medium` `faults` `obs` `campaign` | iterating a `HashMap`/`HashSet` |
+//! | D002 | `scheduler` `mac` `sim` `medium` `faults` `obs` `wired` `core` | iterating a `HashMap`/`HashSet` |
 //! | D003 | non-test code | `==`/`!=` against a float literal (or a local `let` bound to one) |
 //! | D004 | everywhere | `rand::`, `thread_rng`, OS entropy |
-//! | D005 | lib code of `phy` `scheduler` `mac` `sim` `faults` `obs` `campaign` | `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` |
+//! | D005 | lib code of `phy` `scheduler` `mac` `sim` `faults` `obs` `wired` `core` | `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` |
 //! | D006 | library code; `runner`/`obs` binaries | `println!`/… in libraries; prints with inline format specs in the CLI binaries |
 //! | D007 | fns reachable from `Engine::pop` / `Medium::begin` / `dispatch_batch` | `Vec::new`/`with_capacity`/`Box::new`/`format!`/`vec!`/`.to_vec()`/`.collect()` |
 //! | D008 | all but `testkit`, `lint` | bare-literal `SimRng` stream ids; duplicate stream ids across crates |
 //! | D009 | `sim` `medium` `mac` `scheduler` `faults` | float `.sum()`/`fold`/`partial_cmp`-based sorts |
-//! | D010 | lib code of `phy` `scheduler` `mac` `sim` `faults` `obs` | `xs[i ± j]` indexing; unchecked `+`/`-` on `as_nanos()`-style sim-time integers |
+//! | D010 | lib code of `phy` `scheduler` `mac` `sim` `faults` `obs` `wired` `core` | `xs[i ± j]` indexing; unchecked `+`/`-` on `as_nanos()`-style sim-time integers |
 //!
 //! D001–D006 are token-level predicates (this module); D007–D010 are
 //! *semantic* rules over the parse tree ([`crate::parser`]) — the
@@ -164,27 +164,22 @@ pub struct Finding {
 const WALL_CLOCK_CRATES: &[&str] = &["testkit", "bench", "lint"];
 /// Crates whose state feeds scheduling decisions (D002 scope). `obs` is
 /// in scope because trace analysis groups events in maps whose iteration
-/// order reaches rendered reports; `campaign` is in scope because its
-/// store index, ledger, and report rollups all iterate collections into
-/// byte-compared artifacts — an unordered map there breaks the
-/// warm-equals-cold guarantee.
+/// order reaches rendered reports.
 /// `wired` and `core` joined when snapshot/restore landed: the backbone
 /// now carries standby checkpoints whose bytes are digest-compared, and
 /// the builder serializes whole-world state — an unordered container in
 /// either would make two snapshots of the same world differ.
 const ORDERED_CRATES: &[&str] =
-    &["scheduler", "mac", "sim", "medium", "faults", "obs", "campaign", "wired", "core"];
+    &["scheduler", "mac", "sim", "medium", "faults", "obs", "wired", "core"];
 /// Crates whose library code must not panic (D005 scope). `obs` is in
 /// scope because trace sinks run inside every simulation: a panicking
-/// observer would turn observation into a fault of its own. `campaign`
-/// is in scope because cache/ledger code parses untrusted on-disk bytes:
-/// corruption must surface as a recompute or an `Err`, never a panic.
+/// observer would turn observation into a fault of its own.
 /// `wired` and `core` joined with the snapshot subsystem: restore paths
 /// decode bytes that may come from disk (`--restore`), so corruption
 /// must surface as [`SnapError`], never a panic — and the crates those
 /// paths live in are held to the same bar as the decoders themselves.
 const NO_PANIC_CRATES: &[&str] =
-    &["phy", "scheduler", "mac", "sim", "faults", "obs", "campaign", "wired", "core"];
+    &["phy", "scheduler", "mac", "sim", "faults", "obs", "wired", "core"];
 /// Crates whose binaries must print pre-rendered strings only (D006
 /// render-path extension): all user-facing formatting lives in library
 /// render functions, so the text is unit-testable and byte-stable.
@@ -1015,25 +1010,6 @@ mod tests {
         let src = "fn drain(m: &HashMap<u64, u32>) { for (k, v) in m.iter() { use_it(k, v); } }";
         let f = run("crates/sim/src/oracle.rs", src);
         assert!(f.iter().any(|x| x.rule == RuleId::D002), "{f:?}");
-    }
-
-    #[test]
-    fn campaign_store_is_in_d002_scope() {
-        // The cache index is iterated into a byte-compared listing; an
-        // unordered map there breaks warm-equals-cold report identity.
-        let src = "fn list(m: &HashMap<String, u64>) { for (k, v) in m.iter() { emit(k, v); } }";
-        let f = run("crates/campaign/src/store.rs", src);
-        assert!(f.iter().any(|x| x.rule == RuleId::D002), "{f:?}");
-    }
-
-    #[test]
-    fn campaign_ledger_is_in_d005_scope() {
-        // Ledger/cache code parses untrusted on-disk bytes; corruption
-        // must become a recompute or an Err, never a panic.
-        let src = "fn parse(line: &str) { line.split(' ').next().unwrap(); }";
-        let f = run("crates/campaign/src/ledger.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, RuleId::D005);
     }
 
     #[test]

@@ -229,32 +229,6 @@ fn d007_guards_profiler_hooks_on_the_hot_path() {
     assert!(rules_at("crates/sim/src/engine.rs", good).is_empty());
 }
 
-// --------------------------------------------- campaign scope (D002/D005)
-
-#[test]
-fn campaign_crate_is_in_scope_for_ordering_and_no_panic() {
-    // The cache index, resume ledger, and report rollups all iterate
-    // collections into byte-compared artifacts, and the store parses
-    // untrusted on-disk bytes — so the campaign crate is held to the
-    // D002 and D005 bars.
-    const CAMPAIGN: &str = "crates/campaign/src/store.rs";
-    let hash_iter = "use std::collections::HashMap;\n\
-                     fn f(m: HashMap<String, u64>) { for x in m.values() { let _ = x; } }";
-    assert_eq!(rules_at(CAMPAIGN, hash_iter), vec![RuleId::D002]);
-    let unwrap = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-    assert_eq!(rules_at(CAMPAIGN, unwrap), vec![RuleId::D005]);
-    // BTreeMap iteration is the sanctioned shape for the store index.
-    let ordered = "use std::collections::BTreeMap;\n\
-                   fn f(m: BTreeMap<String, u64>) { for x in m.values() { let _ = x; } }";
-    assert!(rules_at(CAMPAIGN, ordered).is_empty());
-}
-
-#[test]
-fn campaign_tests_keep_the_usual_exemptions() {
-    let in_test = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n";
-    assert!(rules_at("crates/campaign/src/ledger.rs", in_test).is_empty());
-}
-
 // ------------------------------------- render-path binaries (D006 extension)
 
 #[test]

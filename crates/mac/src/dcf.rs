@@ -505,12 +505,6 @@ impl CsmaCore {
             None => {}
         }
     }
-
-    /// Whether `node`'s data frame is on the air (used by scheme engines
-    /// routing TxEnd events).
-    pub fn is_node_transmitting_data(&self, node: usize) -> bool {
-        self.nodes[node].state == NodeState::Transmitting
-    }
 }
 
 impl Snapshot for CsmaCore {

@@ -9,22 +9,6 @@
 
 use std::collections::BTreeMap;
 
-/// Nearest-rank quantile over a **sorted** sample (`q` in `[0, 1]`).
-///
-/// The single quantile definition the workspace renders from: the
-/// campaign report's rollup rows and the histogram percentiles below
-/// both route through here, so "p50" means the same thing in every
-/// artifact. Nearest-rank returns an element of the sample (never an
-/// interpolation), which keeps integer outputs exact and byte-stable.
-pub fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    let idx = rank.max(1).saturating_sub(1).min(sorted.len().saturating_sub(1));
-    sorted.get(idx).copied().unwrap_or(0)
-}
-
 /// A power-of-two-bucket histogram over `u64` samples.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
@@ -238,18 +222,6 @@ mod tests {
         m.observe("crash.latency_ns", 100);
         assert_eq!(m.render(), m.clone().render());
         assert!(m.render().starts_with("domino.bursts_sent 7\n"));
-    }
-
-    #[test]
-    fn quantiles_are_nearest_rank() {
-        assert_eq!(quantile(&[], 0.5), 0);
-        let v = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        assert_eq!(quantile(&v, 0.0), 1);
-        assert_eq!(quantile(&v, 0.25), 3);
-        assert_eq!(quantile(&v, 0.50), 5);
-        assert_eq!(quantile(&v, 0.90), 9);
-        assert_eq!(quantile(&v, 1.0), 10);
-        assert_eq!(quantile(&[7], 0.5), 7);
     }
 
     #[test]

@@ -14,18 +14,7 @@
 //!                  without one are skipped); analyze with `domino-trace`
 //!   --out <dir>    results directory (default: ./results, falling back
 //!                  to the directory committed next to the workspace)
-//!   --cache        serve shards from the content-addressed result cache,
-//!                  executing only misses (bytes are identical either way)
-//!   --cache-dir <dir>  cache location (default: .domino-cache)
 //!   --list         list registered experiments and exit
-//!
-//! domino-run campaign <manifest> [--jobs <n>] [--resume] [--report]
-//!                                [--out <dir>] [--no-cache] [--cache-dir <dir>]
-//!
-//!   Expand the manifest's experiment × scale × seed grid and run every
-//!   cell through the shard cache, writing <out>/cells/*.txt, an
-//!   append-only ledger, and a deterministic merged report.txt.
-//!   --resume skips ledger-verified cells; --report prints the report.
 //!
 //! domino-run sim --scheme <s> [--scenario <n>] [--seed <n>] [--duration-s <s>]
 //!                [--udp <down>,<up>] [--chaos <x>] [--standby] [--ctrl-crash <p>]
@@ -36,24 +25,15 @@
 //!   snapshot containers written under --state-dir; --restore finishes a
 //!   run from one in a fresh process. The stats block on stdout is
 //!   byte-identical whether or not the run was interrupted.
-//!
-//! domino-run fingerprint
-//!
-//!   Print the per-crate source manifest (the committed
-//!   results/source_manifest.txt must byte-match it).
 //! ```
 //!
 //! Output text is a pure function of `(experiment, scale, seed)`; the
-//! jobs count, shard completion order, and the cache never change a
-//! byte. Tracing is observation-only: `--trace` never changes the
-//! rendered results.
+//! jobs count and shard completion order never change a byte. Tracing is
+//! observation-only: `--trace` never changes the rendered results.
 
-use domino_campaign::fingerprint;
-use domino_runner::cache::{render_cache_line, run_experiment_cached, CacheSession};
 use domino_runner::registry::{self, Experiment, REGISTRY};
 use domino_runner::scale::Scale;
 use domino_runner::simcmd;
-use domino_runner::sweep::{render_campaign_summary, run_campaign, CampaignConfig};
 use domino_runner::{
     check_against, pool, render_list, render_manifest, render_progress, render_summary,
     run_experiment, CheckStatus,
@@ -71,18 +51,13 @@ struct Cli {
     json: Option<PathBuf>,
     trace: Option<PathBuf>,
     out: Option<PathBuf>,
-    cache: bool,
-    cache_dir: PathBuf,
     list: bool,
 }
 
 const USAGE: &str = "usage: domino-run [all | <experiment>...] \
 [--full] [--seed <n>] [--jobs <n>] [--check] [--json <path>] [--trace <dir>] \
-[--out <dir>] [--cache] [--cache-dir <dir>] [--list]\n\
-       domino-run campaign <manifest> [--jobs <n>] [--resume] [--report] \
-[--out <dir>] [--no-cache] [--cache-dir <dir>]\n\
-       domino-run sim --scheme <s> [--checkpoint-every-us <n>] [--restore <file>] [...]\n\
-       domino-run fingerprint";
+[--out <dir>] [--list]\n\
+       domino-run sim --scheme <s> [--checkpoint-every-us <n>] [--restore <file>] [...]";
 
 fn parse(argv: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
@@ -94,8 +69,6 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         json: None,
         trace: None,
         out: None,
-        cache: false,
-        cache_dir: PathBuf::from(".domino-cache"),
         list: false,
     };
     let mut it = argv.into_iter();
@@ -119,11 +92,6 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             "--json" => cli.json = Some(it.next().ok_or("--json needs a path")?.into()),
             "--trace" => cli.trace = Some(it.next().ok_or("--trace needs a directory")?.into()),
             "--out" => cli.out = Some(it.next().ok_or("--out needs a directory")?.into()),
-            "--cache" => cli.cache = true,
-            "--no-cache" => cli.cache = false,
-            "--cache-dir" => {
-                cli.cache_dir = it.next().ok_or("--cache-dir needs a directory")?.into();
-            }
             "--list" => cli.list = true,
             "--help" | "-h" => return Err(String::new()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
@@ -160,108 +128,6 @@ fn results_dir(cli: &Cli) -> PathBuf {
         return cwd;
     }
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// `domino-run campaign …` — parse the subcommand's own flags and drive
-/// the sweep engine.
-fn campaign_main(args: &[String]) -> ExitCode {
-    let mut manifest_path: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut cache_dir = PathBuf::from(".domino-cache");
-    let mut use_cache = true;
-    let mut jobs = pool::default_jobs();
-    let mut resume = false;
-    let mut report = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => {
-                jobs = match it.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--jobs needs a positive integer\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            "--resume" => resume = true,
-            "--report" => report = true,
-            "--no-cache" => use_cache = false,
-            "--cache-dir" => match it.next() {
-                Some(d) => cache_dir = d.into(),
-                None => {
-                    eprintln!("--cache-dir needs a directory\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(d) => out = Some(d.into()),
-                None => {
-                    eprintln!("--out needs a directory\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown flag {flag}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            path if manifest_path.is_none() => manifest_path = Some(path.into()),
-            extra => {
-                eprintln!("unexpected argument {extra}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(manifest_path) = manifest_path else {
-        eprintln!("campaign needs a manifest path\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(&manifest_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", manifest_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    // Default output directory: campaigns/out/<campaign name>.
-    let out_dir = match out {
-        Some(dir) => dir,
-        None => match domino_campaign::manifest::parse(&text) {
-            Ok(spec) => PathBuf::from("campaigns/out").join(spec.name),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let cfg = CampaignConfig {
-        out_dir,
-        cache_dir: use_cache.then_some(cache_dir),
-        jobs,
-        resume,
-    };
-    let total = Stopwatch::start();
-    match run_campaign(&text, &cfg, &mut |line| println!("{line}")) {
-        Ok(outcome) => {
-            println!("{}", render_campaign_summary(&outcome));
-            println!("{}", render_summary(outcome.cells_total, total.elapsed_ns(), cfg.jobs));
-            println!("report: {}", outcome.report_path.display());
-            if report {
-                match std::fs::read_to_string(&outcome.report_path) {
-                    Ok(t) => print!("{t}"),
-                    Err(e) => {
-                        eprintln!("cannot read {}: {e}", outcome.report_path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// `domino-run sim …` — one crash-resumable run: write sealed checkpoint
@@ -303,33 +169,12 @@ fn sim_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `domino-run fingerprint` — print the live per-crate source manifest.
-fn fingerprint_main() -> ExitCode {
-    let Some(root) = fingerprint::workspace_crates_root() else {
-        eprintln!("cannot locate workspace crates/ directory");
-        return ExitCode::FAILURE;
-    };
-    match fingerprint::scan(&root) {
-        Ok(entries) => {
-            print!("{}", fingerprint::render(&entries));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.split_first() {
-        Some((cmd, rest)) if cmd == "campaign" => return campaign_main(rest),
-        Some((cmd, rest)) if cmd == "sim" => return sim_main(rest),
-        Some((cmd, rest)) if cmd == "fingerprint" && rest.is_empty() => {
-            return fingerprint_main();
+    if let Some((cmd, rest)) = argv.split_first() {
+        if cmd == "sim" {
+            return sim_main(rest);
         }
-        _ => {}
     }
     let cli = match parse(argv) {
         Ok(cli) => cli,
@@ -367,30 +212,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut session = if cli.cache {
-        match CacheSession::open(&cli.cache_dir) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
     let total = Stopwatch::start();
     let mut runs = Vec::with_capacity(selected.len());
     let mut mismatches = 0usize;
     for exp in selected {
-        let run = match session.as_mut() {
-            Some(s) => {
-                let cached = run_experiment_cached(s, exp, cli.scale, cli.seed, cli.jobs);
-                println!("{}", render_cache_line(&cached));
-                cached.run
-            }
-            None => run_experiment(exp, cli.scale, cli.seed, cli.jobs),
-        };
+        let run = run_experiment(exp, cli.scale, cli.seed, cli.jobs);
         let verdict = if cli.check {
             match check_against(&dir, &run) {
                 CheckStatus::Match => "check: match".to_string(),
@@ -438,14 +264,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("manifest: {}", path.display());
-    }
-
-    if let Some(s) = session.as_mut() {
-        if let Err(e) = s.flush() {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        print!("{}", s.render_stats());
     }
 
     println!("{}", render_summary(runs.len(), wall_ns, cli.jobs));

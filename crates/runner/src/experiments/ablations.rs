@@ -6,7 +6,6 @@
 //! cells, plus a cheap closed-form shard for the signature-length table.
 
 use super::util::{mbps, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
@@ -29,39 +28,6 @@ enum ShardOut {
     Variant { tput: f64, fairness: f64, delay_ms: f64 },
     BatchCell(f64),
     SignatureTable(String),
-}
-
-impl Codec for ShardOut {
-    fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            ShardOut::Variant { tput, fairness, delay_ms } => {
-                w.put_u8(0);
-                w.put_f64(*tput);
-                w.put_f64(*fairness);
-                w.put_f64(*delay_ms);
-            }
-            ShardOut::BatchCell(tput) => {
-                w.put_u8(1);
-                w.put_f64(*tput);
-            }
-            ShardOut::SignatureTable(table) => {
-                w.put_u8(2);
-                table.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        match r.get_u8()? {
-            0 => Some(ShardOut::Variant {
-                tput: r.get_f64()?,
-                fairness: r.get_f64()?,
-                delay_ms: r.get_f64()?,
-            }),
-            1 => Some(ShardOut::BatchCell(r.get_f64()?)),
-            2 => Some(ShardOut::SignatureTable(String::decode(r)?)),
-            _ => None,
-        }
-    }
 }
 
 fn variants() -> Vec<(&'static str, ConverterConfig)> {

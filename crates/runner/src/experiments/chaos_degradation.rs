@@ -12,7 +12,6 @@
 use super::util::{mbps, push_block};
 use crate::plan::{Plan, RunDigest};
 use crate::scale::Scale;
-use crate::codec::{ByteReader, ByteWriter, Codec};
 use domino_core::{scenarios, FaultConfig, FaultStats, Scheme, SimulationBuilder};
 use domino_obs::jsonl::{self, TraceMeta};
 use domino_obs::{ProfHandle, TraceHandle};
@@ -29,25 +28,6 @@ struct Cell {
     fairness: f64,
     faults: FaultStats,
     watchdog_storms: u64,
-}
-
-impl Codec for Cell {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_f64(self.tput);
-        w.put_f64(self.delay_ms);
-        w.put_f64(self.fairness);
-        self.faults.encode(w);
-        w.put_u64(self.watchdog_storms);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Cell {
-            tput: r.get_f64()?,
-            delay_ms: r.get_f64()?,
-            fairness: r.get_f64()?,
-            faults: FaultStats::decode(r)?,
-            watchdog_storms: r.get_u64()?,
-        })
-    }
 }
 
 /// Build the plan: one shard per (intensity, scheme) cell.

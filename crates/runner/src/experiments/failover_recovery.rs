@@ -12,7 +12,6 @@
 //! cut off by the horizon, and no crash may strand the cell beyond it.
 
 use super::util::{mbps, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
 use crate::plan::{Plan, RunDigest};
 use crate::scale::Scale;
 use domino_core::{scenarios, FaultConfig, FaultStats, Scheme, SimulationBuilder};
@@ -70,16 +69,6 @@ impl Recovery {
 struct Cell {
     tput: f64,
     faults: FaultStats,
-}
-
-impl Codec for Cell {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_f64(self.tput);
-        self.faults.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Cell { tput: r.get_f64()?, faults: FaultStats::decode(r)? })
-    }
 }
 
 fn grid(scale: Scale) -> (Vec<Recovery>, Vec<f64>) {

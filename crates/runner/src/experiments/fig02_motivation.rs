@@ -5,7 +5,6 @@
 //! so the merged table is byte-identical to the serial binary.
 
 use super::util::{mbps, outln, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder, Workload};
@@ -23,21 +22,6 @@ struct Cell {
     scheme: Scheme,
     link_mbps: [f64; 3],
     overall: f64,
-}
-
-impl Codec for Cell {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.scheme.encode(w);
-        self.link_mbps.encode(w);
-        w.put_f64(self.overall);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Cell {
-            scheme: Scheme::decode(r)?,
-            link_mbps: <[f64; 3]>::decode(r)?,
-            overall: r.get_f64()?,
-        })
-    }
 }
 
 fn flow_links(net: &domino_topology::Network) -> [LinkId; 3] {

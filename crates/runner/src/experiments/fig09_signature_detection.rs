@@ -11,7 +11,6 @@
 //! `domino-phy`'s unit tests.
 
 use super::util::{outln, shard_rng};
-use crate::codec::{ByteReader, ByteWriter, Codec};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_phy::signature::{detection_experiment, Fig9Setup};
@@ -29,21 +28,6 @@ struct Row {
     detection: Vec<f64>,
     /// Worst false-positive ratio across this row's setups.
     worst_fp: f64,
-}
-
-impl Codec for Row {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.combined.encode(w);
-        self.detection.encode(w);
-        w.put_f64(self.worst_fp);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Row {
-            combined: usize::decode(r)?,
-            detection: Vec::<f64>::decode(r)?,
-            worst_fp: r.get_f64()?,
-        })
-    }
 }
 
 /// Build the plan: one shard per combined-signature count (1–7).

@@ -7,7 +7,6 @@
 //! preamble shard — 19 shards quick, 37 at full scale.
 
 use super::util::{mbps, outln, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
@@ -23,34 +22,6 @@ const SCHEMES: [Scheme; 3] = [Scheme::Domino, Scheme::Centaur, Scheme::Dcf];
 enum ShardOut {
     Preamble(String),
     Cell { tput: f64, delay_ms: f64, fairness: f64 },
-}
-
-impl Codec for ShardOut {
-    fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            ShardOut::Preamble(text) => {
-                w.put_u8(0);
-                text.encode(w);
-            }
-            ShardOut::Cell { tput, delay_ms, fairness } => {
-                w.put_u8(1);
-                w.put_f64(*tput);
-                w.put_f64(*delay_ms);
-                w.put_f64(*fairness);
-            }
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        match r.get_u8()? {
-            0 => Some(ShardOut::Preamble(String::decode(r)?)),
-            1 => Some(ShardOut::Cell {
-                tput: r.get_f64()?,
-                delay_ms: r.get_f64()?,
-                fairness: r.get_f64()?,
-            }),
-            _ => None,
-        }
-    }
 }
 
 struct Metrics {

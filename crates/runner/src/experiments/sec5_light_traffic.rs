@@ -5,7 +5,6 @@
 //! One shard per scheme.
 
 use super::util::{outln, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
@@ -21,23 +20,6 @@ struct Cell {
     tput: f64,
     delay_us: f64,
     drops: u64,
-}
-
-impl Codec for Cell {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.scheme.encode(w);
-        w.put_f64(self.tput);
-        w.put_f64(self.delay_us);
-        w.put_u64(self.drops);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Cell {
-            scheme: Scheme::decode(r)?,
-            tput: r.get_f64()?,
-            delay_us: r.get_f64()?,
-            drops: r.get_u64()?,
-        })
-    }
 }
 
 /// Build the plan: DOMINO and DCF shards on T(6,5) at 6 kB/s per link.

@@ -31,8 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod codec;
 pub mod experiments;
 pub mod plan;
 pub mod pool;
@@ -40,7 +38,6 @@ pub mod profcmd;
 pub mod registry;
 pub mod scale;
 pub mod simcmd;
-pub mod sweep;
 
 use plan::RunDigest;
 use registry::Experiment;

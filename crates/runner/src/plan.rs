@@ -1,6 +1,5 @@
 //! The shard plan of one experiment: tasks plus an index-ordered merge.
 
-use crate::codec::Codec;
 use crate::pool::Task;
 use std::any::Any;
 
@@ -11,23 +10,6 @@ pub(crate) type ShardData = Box<dyn Any + Send>;
 /// The merge half of a plan: shard results in index order → output text
 /// plus the machine-readable digest of the run.
 pub(crate) type Finish = Box<dyn FnOnce(Vec<ShardData>) -> (String, RunDigest) + Send>;
-
-/// Serialize one type-erased shard value. `None` only if the box holds a
-/// different type than the plan's — impossible for values produced by the
-/// plan's own shards or its own `decode`.
-pub(crate) type EncodeShard = fn(&ShardData) -> Option<Vec<u8>>;
-
-/// Deserialize one shard value from cached bytes; `None` on any
-/// malformed input (the cache layer recomputes the shard).
-pub(crate) type DecodeShard = fn(&[u8]) -> Option<ShardData>;
-
-fn encode_shard<T: Codec + 'static>(data: &ShardData) -> Option<Vec<u8>> {
-    data.downcast_ref::<T>().map(Codec::to_bytes)
-}
-
-fn decode_shard<T: Codec + Send + 'static>(bytes: &[u8]) -> Option<ShardData> {
-    T::from_bytes(bytes).map(|v| Box::new(v) as ShardData)
-}
 
 /// Machine-readable summary of one experiment run, surfaced in the
 /// `domino-run --json` manifest. Everything here is deterministic (a pure
@@ -65,8 +47,6 @@ impl RunDigest {
 /// strictly in shard-index order — into the experiment's output text.
 pub struct Plan {
     shards: Vec<Task<ShardData>>,
-    encode: EncodeShard,
-    decode: DecodeShard,
     finish: Finish,
 }
 
@@ -80,12 +60,7 @@ impl Plan {
     /// Build a plan from typed shards and a typed merge. The type erasure
     /// stays inside this constructor: `finish` receives shard values in
     /// shard-index order, whatever order the pool completed them in.
-    ///
-    /// `T: Codec` is deliberate and mandatory — it is what makes every
-    /// registered experiment shard-cacheable (see [`crate::codec`]); the
-    /// monomorphic encode/decode function pointers the cache layer uses
-    /// are captured here, so type erasure never leaks to callers.
-    pub fn new<T: Send + Codec + 'static>(
+    pub fn new<T: Send + 'static>(
         shards: Vec<Box<dyn FnOnce() -> T + Send>>,
         finish: impl FnOnce(Vec<T>) -> String + Send + 'static,
     ) -> Plan {
@@ -96,7 +71,7 @@ impl Plan {
     /// the merge returns the rendered text together with the digest the
     /// `--json` manifest surfaces (livelocks, watchdog storms,
     /// per-fault-class counts).
-    pub fn new_digested<T: Send + Codec + 'static>(
+    pub fn new_digested<T: Send + 'static>(
         shards: Vec<Box<dyn FnOnce() -> T + Send>>,
         finish: impl FnOnce(Vec<T>) -> (String, RunDigest) + Send + 'static,
     ) -> Plan {
@@ -105,8 +80,6 @@ impl Plan {
                 .into_iter()
                 .map(|shard| -> Task<ShardData> { Box::new(move || Box::new(shard()) as ShardData) })
                 .collect(),
-            encode: encode_shard::<T>,
-            decode: decode_shard::<T>,
             finish: Box::new(move |data| {
                 let typed: Vec<T> = data
                     .into_iter()
@@ -133,12 +106,6 @@ impl Plan {
     pub(crate) fn into_parts(self) -> (Vec<Task<ShardData>>, Finish) {
         (self.shards, self.finish)
     }
-
-    /// Decompose for cache-aware execution: tasks, the shard codec pair,
-    /// and the merge. Used by [`crate::cache::run_experiment_cached`].
-    pub(crate) fn into_cache_parts(self) -> (Vec<Task<ShardData>>, EncodeShard, DecodeShard, Finish) {
-        (self.shards, self.encode, self.decode, self.finish)
-    }
 }
 
 #[cfg(test)]
@@ -156,20 +123,6 @@ mod tests {
         let (text, digest) = finish(data);
         assert_eq!(text, "[0, 10, 20, 30, 40]");
         assert_eq!(digest, RunDigest::default());
-    }
-
-    #[test]
-    fn cache_parts_roundtrip_shard_values() {
-        let shards: Vec<Box<dyn FnOnce() -> u32 + Send>> =
-            (0..5u32).map(|i| -> Box<dyn FnOnce() -> u32 + Send> { Box::new(move || i * 10) }).collect();
-        let plan = Plan::new(shards, |values: Vec<u32>| format!("{values:?}"));
-        let (tasks, encode, decode, finish) = plan.into_cache_parts();
-        let data: Vec<ShardData> = tasks.into_iter().map(|t| t()).collect();
-        let bytes: Vec<Vec<u8>> = data.iter().map(|d| encode(d).unwrap()).collect();
-        let decoded: Vec<ShardData> = bytes.iter().map(|b| decode(b).unwrap()).collect();
-        let (text, _) = finish(decoded);
-        assert_eq!(text, "[0, 10, 20, 30, 40]", "decoded shards must merge identically");
-        assert!(decode(&[1, 2, 3]).is_none(), "garbage bytes must not decode");
     }
 
     #[test]

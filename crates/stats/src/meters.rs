@@ -35,12 +35,6 @@ impl ThroughputMeter {
         assert!(seconds > 0.0, "empty measurement window");
         self.bits as f64 / seconds / 1e6
     }
-
-    /// Rebuild a meter from raw totals (the snapshot-restore path; this
-    /// crate is dependency-free, so serialization lives with the caller).
-    pub fn from_raw(bits: u64, packets: u64) -> ThroughputMeter {
-        ThroughputMeter { bits, packets }
-    }
 }
 
 /// Accumulates per-packet delays (µs) and reports summary statistics.

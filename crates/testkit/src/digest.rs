@@ -1,16 +1,14 @@
 //! Hand-rolled SHA-256 (FIPS 180-4) — the workspace's content digest.
 //!
-//! The campaign result cache (`crates/campaign`) keys every cached shard
-//! by a digest of its identifying inputs and verifies every read against
-//! the digest of the stored bytes, so the hash must be collision-resistant
-//! and byte-stable across platforms — and, like everything in `testkit`,
-//! it must come from no registry dependency. This is the textbook
+//! The sealed snapshot container (`domino-sim`'s `snapshot` module) binds
+//! every image to its run configuration by a digest and verifies every
+//! restore against the digest of the stored bytes, so the hash must be
+//! collision-resistant and byte-stable across platforms — and, like
+//! everything in `testkit`, it must come from no registry dependency. This is the textbook
 //! implementation: 64-round compression over 512-bit blocks,
 //! little-endian-free (all word loads are explicit big-endian), no unsafe.
 //!
-//! The incremental [`Sha256`] state accepts input in arbitrary chunks;
-//! [`sha256_hex`] is the one-shot convenience used for keys and manifest
-//! lines.
+//! The incremental [`Sha256`] state accepts input in arbitrary chunks.
 
 /// Round constants: fractional parts of the cube roots of the first 64
 /// primes (FIPS 180-4 §4.2.2).
@@ -146,27 +144,27 @@ impl Sha256 {
     }
 }
 
-/// Lower-case hex of a digest.
-pub fn to_hex(digest: &[u8; 32]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(64);
-    for &b in digest {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0x0f) as usize] as char);
-    }
-    out
-}
-
-/// One-shot digest of `data` as 64 lower-case hex characters.
-pub fn sha256_hex(data: &[u8]) -> String {
-    let mut h = Sha256::new();
-    h.update(data);
-    to_hex(&h.finalize())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lower-case hex of a digest.
+    fn to_hex(digest: &[u8; 32]) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut out = String::with_capacity(64);
+        for &b in digest {
+            out.push(HEX[(b >> 4) as usize] as char);
+            out.push(HEX[(b & 0x0f) as usize] as char);
+        }
+        out
+    }
+
+    /// One-shot digest of `data` as 64 lower-case hex characters.
+    fn sha256_hex(data: &[u8]) -> String {
+        let mut h = Sha256::new();
+        h.update(data);
+        to_hex(&h.finalize())
+    }
 
     // FIPS 180-4 / NIST CAVP reference vectors.
     #[test]

@@ -13,8 +13,8 @@
 //!   choice-sequence shrinking with [`prop::replay`] for pinning regressions.
 //! * [`bench`] — a wall-clock benchmark harness (replaces `criterion`):
 //!   warmup + calibrated samples, median/p95 reporting, JSON output.
-//! * [`digest`] — hand-rolled SHA-256 (replaces `sha2`): the content
-//!   digest behind the campaign result cache's keys and verified reads.
+//! * [`digest`] — hand-rolled SHA-256 (replaces `sha2`): the binding and
+//!   content digests of the sealed snapshot container.
 //!
 //! This crate must never grow a dependency, in-workspace or external: it is
 //! below `domino-sim` in the crate DAG and is the guarantee that

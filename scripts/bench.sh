@@ -29,40 +29,6 @@ echo "identical"
 echo "== micro-benches (testkit harness) =="
 TESTKIT_BENCH_JSON="$TMP/micro" cargo bench --offline -p domino-bench -q
 
-echo "== campaign: cold vs warm grid =="
-# One small experiment × seed grid through the shard cache, timed cold
-# (every shard computed + stored) and warm (every shard served from the
-# store). The pair lands in BENCH_runner.json as campaign/* micro
-# entries so cache overhead and hit-path speedup are tracked run-over-run.
-cat > "$TMP/bench.campaign" <<'EOF'
-campaign bench-grid
-experiments table1_params fig05_rop_samples fig06_guard_sweep
-seeds 1 2
-EOF
-campaign_ns() {
-  local out="$1"
-  local t0 t1
-  t0=$(date +%s%N)
-  ./target/release/domino-run campaign "$TMP/bench.campaign" \
-      --cache-dir "$TMP/bench-cache" --out "$out" > /dev/null
-  t1=$(date +%s%N)
-  echo $((t1 - t0))
-}
-cold_ns=$(campaign_ns "$TMP/bench-cold")
-warm_ns=$(campaign_ns "$TMP/bench-warm")
-diff "$TMP/bench-cold/report.txt" "$TMP/bench-warm/report.txt"
-mkdir -p "$TMP/micro"
-{
-  echo '{'
-  echo '  "group": "campaign",'
-  echo '  "results": ['
-  echo "    {\"name\": \"campaign/grid_cold\", \"median_ns\": $cold_ns, \"p95_ns\": $cold_ns, \"mean_ns\": $cold_ns, \"min_ns\": $cold_ns, \"iters_per_sample\": 1, \"samples\": 1},"
-  echo "    {\"name\": \"campaign/grid_warm\", \"median_ns\": $warm_ns, \"p95_ns\": $warm_ns, \"mean_ns\": $warm_ns, \"min_ns\": $warm_ns, \"iters_per_sample\": 1, \"samples\": 1}"
-  echo '  ]'
-  echo '}'
-} > "$TMP/micro/campaign.json"
-echo "campaign grid: cold $((cold_ns / 1000000)) ms, warm $((warm_ns / 1000000)) ms"
-
 serial_ms=$(sed -n 's/^  "wall_ms": \([0-9.]*\),$/\1/p' "$TMP/serial.json")
 parallel_ms=$(sed -n 's/^  "wall_ms": \([0-9.]*\),$/\1/p' "$TMP/parallel.json")
 speedup=$(awk -v a="$serial_ms" -v b="$parallel_ms" 'BEGIN { printf "%.2f", a / b }')
